@@ -1,12 +1,12 @@
-"""Pure-Python term-map kernel.
+"""Term-map kernel: the operations `intshuffle.poly` builds on.
 
 A polynomial is a dict mapping exponent tuples to nonzero rational
 coefficients (int or Fraction).  Slot 0 holds the q1 exponent, slot 1 the
 q2 exponent, slot i+1 the z_i exponent; trailing zeros are trimmed so equal
 monomials always share one key.  The zero polynomial is the empty dict.
 
-`intshuffle._terms_cy` is a compiled drop-in replacement with the same
-signatures, selected at import time by `intshuffle._kernel`.
+Functions return fresh dicts and leave their arguments alone, except the
+`*_into` accumulators, which update their first argument in place.
 """
 
 from __future__ import annotations
@@ -36,39 +36,34 @@ def mono_mul(m1: tuple, m2: tuple) -> tuple:
     return tuple(out)
 
 
-def add_terms(a: dict, b: dict) -> dict:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
+def add_into(r: dict, b: dict, sign: int = 1) -> None:
+    """In-place r += sign * b for sign 1 or -1; cancelled keys are removed."""
+    get = r.get
     for m, c in b.items():
-        c0 = out.get(m)
+        if sign < 0:
+            c = -c
+        c0 = get(m)
         if c0 is None:
-            out[m] = c
+            r[m] = c
         else:
             c0 = c0 + c
             if c0:
-                out[m] = c0
+                r[m] = c0
             else:
-                del out[m]
+                del r[m]
+
+
+def add_terms(a: dict, b: dict) -> dict:
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    add_into(out, b)
     return out
 
 
 def sub_terms(a: dict, b: dict) -> dict:
-    if not b:
-        return dict(a)
     out = dict(a)
-    for m, c in b.items():
-        c0 = out.get(m)
-        if c0 is None:
-            out[m] = -c
-        else:
-            c0 = c0 - c
-            if c0:
-                out[m] = c0
-            else:
-                del out[m]
+    add_into(out, b, -1)
     return out
 
 

@@ -282,6 +282,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ and the two-ideal reduction form are provided and agree.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +40,6 @@ from functools import lru_cache
 from .errors import ArityTooSmall, IdentityViolated, NotDivisible
 from .generators import GeneratorWord, WordLike, as_word
 from .poly import (
-    ONE,
     Q1,
     Q2,
     LaurentPoly,
@@ -49,7 +49,7 @@ from .poly import (
     substitute,
     z,
 )
-from .shuffle import ShuffleElement, omega_numerator, shuffle_word
+from .shuffle import ShuffleElement, _vandermonde, omega_numerator, shuffle_word
 
 _Q = Q1 * Q2
 _HALF = Fraction(1, 2)
@@ -188,21 +188,6 @@ def verify_ideal_certificate(cert: IdealCertificate) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _vandermonde_pairs(k: int) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _vandermonde(k: int) -> LaurentPoly:
-    out = ONE
-    for i, j in _vandermonde_pairs(k):
-        out = out * (z(i) - z(j))
-    return out
-
-
-@lru_cache(maxsize=None)
 def _cofactors(word: tuple[int, ...]) -> tuple[LaurentPoly, LaurentPoly]:
     k = len(word)
     if k == 2:
@@ -255,7 +240,7 @@ def _cofactors(word: tuple[int, ...]) -> tuple[LaurentPoly, LaurentPoly]:
 
     # Repair pass: make both cofactors divisible by each linear factor of the
     # common denominator, then divide it out.
-    for i, j in _vandermonde_pairs(k):
+    for i, j in itertools.combinations(range(1, k + 1), 2):
         f = z(i) - z(j)
         merge = {f"z{j}": z(i)}
         a_mod = substitute(a_hat, merge)

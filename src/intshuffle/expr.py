@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ArityMismatch, ExprSyntaxError
-from .poly import LaurentPoly, Q1, Q2, is_symmetric, z
+from .poly import LaurentPoly, Q1, Q2, is_symmetric, signed_sum, z
 from .shuffle import ShuffleElement, scalar, shuffle, shuffle_word
 
 Value = Union[LaurentPoly, ShuffleElement]
@@ -68,20 +68,13 @@ class WordLit(Node):
 
 
 @dataclass(frozen=True)
-class Neg(Node):
-    operand: Node
+class Sum(Node):
+    """A signed sum: (sign, operator position, summand) per term, in order.
 
+    Flat rather than nested, so a sum of any length is walked in a loop.
+    """
 
-@dataclass(frozen=True)
-class Add(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Sub(Node):
-    left: Node
-    right: Node
+    terms: tuple[tuple[int, int, Node], ...]
 
 
 @dataclass(frozen=True)
@@ -177,22 +170,26 @@ class _Parser:
 
     # expr := ['-'] term (('+'|'-') term)*
     def parse_expr(self) -> Node:
+        terms = []
+        sign = 1
         tok = self.peek()
         if self.at_sym("-"):
             self.advance()
-            node: Node = Neg(tok.pos, self.parse_term())
-        else:
-            node = self.parse_term()
+            sign = -1
         while True:
+            terms.append((sign, tok.pos, self.parse_term()))
             tok = self.peek()
             if self.at_sym("+"):
-                self.advance()
-                node = Add(tok.pos, node, self.parse_term())
+                sign = 1
             elif self.at_sym("-"):
-                self.advance()
-                node = Sub(tok.pos, node, self.parse_term())
+                sign = -1
             else:
-                return node
+                break
+            self.advance()
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][2]
+        # positioned at the last '+' or '-', the operator applied last
+        return Sum(terms[-1][1], tuple(terms))
 
     # term := juxt ('*' juxt)*
     def parse_term(self) -> Node:
@@ -306,18 +303,19 @@ def infer(node: Node) -> tuple[str, int]:
         return (ELEMENT, 1)
     if isinstance(node, WordLit):
         return (ELEMENT, len(node.exponents))
-    if isinstance(node, Neg):
-        return infer(node.operand)
-    if isinstance(node, (Add, Sub)):
-        lk, ln = infer(node.left)
-        rk, rn = infer(node.right)
-        if lk != rk:
-            raise ArityMismatch(node.pos, "cannot add a scalar and a shuffle element")
-        if lk == ELEMENT and ln != rn:
-            raise ArityMismatch(
-                node.pos, f"cannot add elements of arity {ln} and {rn}"
-            )
-        return (lk, max(ln, rn))
+    if isinstance(node, Sum):
+        _, _, first = node.terms[0]
+        lk, ln = infer(first)
+        for _, pos, term in node.terms[1:]:
+            rk, rn = infer(term)
+            if lk != rk:
+                raise ArityMismatch(pos, "cannot add a scalar and a shuffle element")
+            if lk == ELEMENT and ln != rn:
+                raise ArityMismatch(
+                    pos, f"cannot add elements of arity {ln} and {rn}"
+                )
+            ln = max(ln, rn)
+        return (lk, ln)
     if isinstance(node, Juxt):
         lk, ln = infer(node.left)
         rk, rn = infer(node.right)
@@ -384,12 +382,13 @@ def evaluate(node: Node) -> Value:
         return ShuffleElement(1, z(1, node.exponent) if node.exponent else LaurentPoly.constant(1))
     if isinstance(node, WordLit):
         return shuffle_word(node.exponents)
-    if isinstance(node, Neg):
-        return -evaluate(node.operand)
-    if isinstance(node, Add):
-        return evaluate(node.left) + evaluate(node.right)
-    if isinstance(node, Sub):
-        return evaluate(node.left) - evaluate(node.right)
+    if isinstance(node, Sum):
+        # `infer` has checked that all summands share one kind and arity
+        values = [(sign, evaluate(term)) for sign, _, term in node.terms]
+        first = values[0][1]
+        if isinstance(first, LaurentPoly):
+            return signed_sum(values)
+        return ShuffleElement(first.arity, signed_sum((s, v.poly) for s, v in values))
     if isinstance(node, Juxt):
         left = evaluate(node.left)
         right = evaluate(node.right)

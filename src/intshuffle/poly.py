@@ -27,7 +27,19 @@ import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from . import _kernel
+from ._terms_py import (
+    add_into,
+    add_terms,
+    addmul_into,
+    div_binomial,
+    mul_monomial,
+    mul_terms,
+    neg_terms,
+    permute_slots,
+    scale_terms,
+    sub_terms,
+    swap_z,
+)
 from .errors import NonInvertibleImage, NotDivisible
 
 Coefficient = Union[int, Fraction]
@@ -177,7 +189,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LaurentPoly._raw(_kernel.impl.add_terms(self.terms, other.terms))
+        return LaurentPoly._raw(add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -185,24 +197,24 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LaurentPoly._raw(_kernel.impl.sub_terms(self.terms, other.terms))
+        return LaurentPoly._raw(sub_terms(self.terms, other.terms))
 
     def __rsub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LaurentPoly._raw(_kernel.impl.sub_terms(other.terms, self.terms))
+        return LaurentPoly._raw(sub_terms(other.terms, self.terms))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw(_kernel.impl.neg_terms(self.terms))
+        return LaurentPoly._raw(neg_terms(self.terms))
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             if not other:
                 return LaurentPoly.zero()
-            return LaurentPoly._raw(_kernel.impl.scale_terms(self.terms, other))
+            return LaurentPoly._raw(scale_terms(self.terms, other))
         if isinstance(other, LaurentPoly):
-            return LaurentPoly._raw(_kernel.impl.mul_terms(self.terms, other.terms))
+            return LaurentPoly._raw(mul_terms(self.terms, other.terms))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -267,12 +279,12 @@ def z(index: int, exponent: int = 1) -> LaurentPoly:
     return LaurentPoly.variable(f"z{index}", exponent)
 
 
-def add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p + q
-
-
-def mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p * q
+def signed_sum(terms: Iterable[tuple[int, LaurentPoly]]) -> LaurentPoly:
+    """Sum of sign*p over (sign, p) pairs with sign 1 or -1, in one pass."""
+    total: dict = {}
+    for sign, p in terms:
+        add_into(total, p.terms, sign)
+    return LaurentPoly._raw(total)
 
 
 # -- exact division ---------------------------------------------------------
@@ -316,16 +328,16 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
         (mono, coeff), = d.terms.items()
         inv = _norm_coeff(Fraction(1, 1) / coeff)
         neg = _trim([-e for e in mono])
-        return LaurentPoly._raw(_kernel.impl.mul_monomial(p.terms, neg, inv))
+        return LaurentPoly._raw(mul_monomial(p.terms, neg, inv))
     binomial = _binomial_slots(d.terms)
     if binomial is not None:
         sa, sb, lead = binomial
         try:
-            quotient = _kernel.impl.div_binomial(p.terms, sa, sb)
+            quotient = div_binomial(p.terms, sa, sb)
         except ValueError:
             raise NotDivisible(f"{render(d)} does not divide {render(p)}") from None
         if lead != 1:
-            quotient = _kernel.impl.scale_terms(
+            quotient = scale_terms(
                 quotient, _norm_coeff(Fraction(1, 1) / lead)
             )
         return LaurentPoly._raw(quotient)
@@ -346,7 +358,6 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     heap = [(-sum(m),) + tuple(-e for e in m) for m in num]
     heapq.heapify(heap)
     quotient: dict = {}
-    addmul_into = _kernel.impl.addmul_into
     while num:
         entry = heapq.heappop(heap)
         mono = tuple(-e for e in entry[1:])
@@ -439,7 +450,7 @@ def substitute(p: LaurentPoly, images: Mapping[str, Scalar]) -> LaurentPoly:
         term = LaurentPoly._raw({_trim(kept): coeff})
         for f in factors:
             term = term * f
-        total = _kernel.impl.add_terms(total, term.terms)
+        add_into(total, term.terms)
     return LaurentPoly._raw(total)
 
 
@@ -451,7 +462,7 @@ def relabel_z(p: LaurentPoly, mapping: Mapping[int, int]) -> LaurentPoly:
         (i, ii), (j, jj) = mapping.items()
         if ii == j and jj == i and i != j:
             return LaurentPoly._raw(
-                _kernel.impl.swap_z(p.terms, i + _Q_SLOTS - 1, j + _Q_SLOTS - 1)
+                swap_z(p.terms, i + _Q_SLOTS - 1, j + _Q_SLOTS - 1)
             )
     if set(mapping.keys()) == set(mapping.values()):
         # a genuine permutation: identity fill keeps the slot map bijective
@@ -459,7 +470,7 @@ def relabel_z(p: LaurentPoly, mapping: Mapping[int, int]) -> LaurentPoly:
         perm = list(range(width))
         for index, target in mapping.items():
             perm[index + _Q_SLOTS - 1] = target + _Q_SLOTS - 1
-        return LaurentPoly._raw(_kernel.impl.permute_slots(p.terms, tuple(perm)))
+        return LaurentPoly._raw(permute_slots(p.terms, tuple(perm)))
     out: dict = {}
     for mono, coeff in p.terms.items():
         width = len(mono)

@@ -133,7 +133,7 @@ def _divide_vandermonde(p: LaurentPoly, n: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _coset_kernel(n: int, block: tuple[int, ...]) -> LaurentPoly:
+def _coset_numerator(n: int, block: tuple[int, ...]) -> LaurentPoly:
     """Numerator contribution of one coset over the common denominator.
 
     For the coset assigning the first block to the variable set `block`
@@ -167,7 +167,7 @@ def shuffle(left: ShuffleElement, right: ShuffleElement) -> ShuffleElement:
     if l == 0:
         return ShuffleElement(k, left.poly * right.poly)
     n = k + l
-    base = left.poly * _coset_kernel(n, tuple(range(1, k + 1)))
+    base = left.poly * _coset_numerator(n, tuple(range(1, k + 1)))
     if right.poly != ONE:
         base = base * relabel_z(right.poly, {j: k + j for j in range(1, l + 1)})
     numerator = LaurentPoly.zero()

@@ -126,18 +126,23 @@ def test_verify_cert_files(tmp_path, capsys):
 
 
 def test_verify_ideal_cert_file(tmp_path, capsys):
-    code, out, _ = run(capsys, "ideal-cert", "[0,1,0]", "--json")
-    assert code == 0
-    cert_file = tmp_path / "ideal.json"
-    cert_file.write_text(out)
-    code, out, _ = run(capsys, "verify-ideal-cert", str(cert_file))
-    assert (code, out) == (0, "true\n")
+    # [2,-2,4] prints a cofactor A of about 990 terms, read back as one sum
+    for word in ("[0,1,0]", "[2,-2,4]"):
+        code, out, _ = run(capsys, "ideal-cert", word, "--json")
+        assert code == 0
+        cert_file = tmp_path / "ideal.json"
+        cert_file.write_text(out)
+        code, out, _ = run(capsys, "verify-ideal-cert", str(cert_file))
+        assert (code, out) == (0, "true\n"), word
 
 
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "expand", "sh[0,0] +")
     assert code == 2
     assert "position 9" in err
+    code, _, err = run(capsys, "expand", "(" * 400 + "z1" + ")" * 400)
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_arity_error_exit_code(capsys):

@@ -122,6 +122,9 @@ def test_render_parse_round_trip_random():
             terms[mono] = coeff
         p = LaurentPoly(terms)
         assert parse_poly(render(p)) == p
+    # a sum far longer than the interpreter's recursion limit
+    p = LaurentPoly({(0, 0, e): (-1) ** e * (e + 1) for e in range(-600, 600)})
+    assert parse_poly(render(p)) == p
 
 
 def test_parse_poly_rejects_elements():

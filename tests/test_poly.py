@@ -176,7 +176,16 @@ def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@given(_polys(), _polys())
+@st.composite
+def _binomials(draw):
+    """c*(v_a - v_b), the divisor shape exact_div hands to its binomial path."""
+    a, b = draw(st.lists(st.sampled_from(["q1", "q2", "z1", "z2", "z3"]),
+                         min_size=2, max_size=2, unique=True))
+    c = draw(_coeffs.filter(bool))
+    return c * (LaurentPoly.variable(a) - LaurentPoly.variable(b))
+
+
+@given(_polys(), st.one_of(_polys(), _binomials()))
 @settings(max_examples=60, deadline=None)
 def test_exact_div_round_trip(p, d):
     if not d:
