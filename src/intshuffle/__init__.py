@@ -45,7 +45,6 @@ from .poly import (
     Q1,
     Q2,
     LaurentPoly,
-    RationalFunction,
     exact_div,
     is_symmetric,
     permute_z,
@@ -55,7 +54,6 @@ from .poly import (
 )
 from .shuffle import (
     ShuffleElement,
-    omega,
     omega_numerator,
     one_variable,
     scalar,
@@ -83,7 +81,6 @@ __all__ = [
     "NotDivisible",
     "Q1",
     "Q2",
-    "RationalFunction",
     "ShuffleElement",
     "act_power_sum",
     "act_product_power",
@@ -95,7 +92,6 @@ __all__ = [
     "ideal_generators",
     "ideal_wheel_check",
     "is_symmetric",
-    "omega",
     "omega_decomposition",
     "omega_numerator",
     "one_variable",

@@ -11,6 +11,8 @@ Functions return fresh dicts and leave their arguments alone, except the
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 
 def mono_mul(m1: tuple, m2: tuple) -> tuple:
     """Product of two monomials: add exponent tuples, trim trailing zeros."""
@@ -157,46 +159,25 @@ def div_binomial(a: dict, sa: int, sb: int) -> dict:
     return out
 
 
-def permute_slots(a: dict, perm: tuple) -> dict:
-    """Move the exponent at slot s to slot perm[s], for a permutation perm."""
-    out: dict = {}
-    nperm = len(perm)
-    for mono, c in a.items():
-        w = len(mono)
-        width = 0
-        for s in range(w):
-            if mono[s]:
-                t = perm[s] if s < nperm else s
-                if t + 1 > width:
-                    width = t + 1
-        m = [0] * width
-        for s in range(w):
-            e = mono[s]
-            if e:
-                m[perm[s] if s < nperm else s] = e
-        out[tuple(m)] = c
-    return out
+def permute_slots(a: dict, src: tuple) -> dict:
+    """Slot t of each new monomial takes the exponent at slot src[t].
 
-
-def swap_z(a: dict, sa: int, sb: int) -> dict:
-    """Exchange the exponents at slots sa and sb in every monomial."""
+    Monomials are zero-padded to max(src) + 1 slots first, so src may name a
+    slot past every monomial's end to leave a slot empty.  src lists at least
+    two slots, and the caller keeps it injective on the occupied slots, so no
+    two monomials merge.
+    """
+    get = itemgetter(*src)
+    pad = (0,) * (max(src) + 1)
     out: dict = {}
     for mono, c in a.items():
-        w = len(mono)
-        ea = mono[sa] if sa < w else 0
-        eb = mono[sb] if sb < w else 0
-        if ea == eb:
-            out[mono] = c
-            continue
-        width = max(w, sa + 1, sb + 1)
-        m = list(mono)
-        if width > w:
-            m.extend([0] * (width - w))
-        m[sa] = eb
-        m[sb] = ea
-        while m and m[-1] == 0:
-            m.pop()
-        out[tuple(m)] = c
+        m = get(mono + pad[len(mono):])
+        if not m[-1]:
+            n = len(m) - 1
+            while n and not m[n - 1]:
+                n -= 1
+            m = m[:n]
+        out[m] = c
     return out
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from .errors import ArityTooSmall, IdentityViolated, NotDivisible
-from .generators import GeneratorWord, WordLike, as_word
+from .generators import GeneratorWord, WordLike, as_word, _certificate_payload, _json_word
 from .poly import (
     Q1,
     Q2,
@@ -171,14 +171,12 @@ class IdealCertificate:
     def from_json(cls, text: str) -> "IdealCertificate":
         from .expr import as_element, parse_poly
 
-        payload = json.loads(text)
-        if payload.get("schema") != 1:
-            raise ValueError("unsupported certificate schema")
+        payload = _certificate_payload(text)
         raw = payload["target"]
         if isinstance(raw, str):
             target: GeneratorWord | ShuffleElement = as_element(parse_poly(raw))
         else:
-            target = GeneratorWord(tuple(raw))
+            target = _json_word(raw)
         return cls(target, parse_poly(payload["A"]), parse_poly(payload["B"]))
 
 

@@ -17,7 +17,7 @@ with symmetric-polynomial cofactors, returning a ModuleCertificate that
 minimum exponent to 0 with action (a), applies a fixed table of base-case
 identities inside [0,2]^3 (including the variants obtained by swapping the
 last two letters), and recurses with two action-(b) rewrites for larger
-exponents, memoized on the shifted word.
+exponents, memoized per word.
 """
 
 from __future__ import annotations
@@ -117,6 +117,24 @@ def verify_lemma(word: WordLike | GeneratorWord, n: int, which: str) -> bool:
     return lhs == rhs
 
 
+def _certificate_payload(text: str) -> dict:
+    """The JSON object of a certificate file; ValueError unless it has schema 1."""
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("a certificate must be a JSON object")
+    schema = payload.get("schema")
+    if type(schema) is not int or schema != 1:
+        raise ValueError("unsupported certificate schema")
+    return payload
+
+
+def _json_word(raw) -> GeneratorWord:
+    """A word read from certificate JSON: a list of int letters (no bools)."""
+    if not isinstance(raw, list) or any(type(d) is not int for d in raw):
+        raise ValueError(f"a word must be a list of integer letters, got {raw!r}")
+    return GeneratorWord(tuple(raw))
+
+
 @dataclass(frozen=True)
 class ModuleCertificate:
     """Asserts expand(target) == sum of cofactor * expand(word) pairs."""
@@ -146,12 +164,10 @@ class ModuleCertificate:
     def from_json(cls, text: str) -> "ModuleCertificate":
         from .expr import parse_poly
 
-        payload = json.loads(text)
-        if payload.get("schema") != 1:
-            raise ValueError("unsupported certificate schema")
-        target = GeneratorWord(tuple(payload["target"]))
+        payload = _certificate_payload(text)
+        target = _json_word(payload["target"])
         combination = tuple(
-            (parse_poly(cofactor), GeneratorWord(tuple(word)))
+            (parse_poly(cofactor), _json_word(word))
             for cofactor, word in payload["combination"]
         )
         return cls(target, combination)
@@ -240,14 +256,9 @@ _BASE3: dict[tuple[int, int, int], tuple[tuple[LaurentPoly, tuple[int, int, int]
 _BASIS3_SET = {w.exponents for w in BASIS3}
 
 
-def _base3_identity(target: tuple[int, int, int]):
-    """Base-case rewrite for a min-0 word inside [0,2]^3; None for basis words."""
-    return _BASE3.get(target)
-
-
 @lru_cache(maxsize=None)
-def _reduce3_shifted(word: tuple[int, int, int]) -> tuple[tuple[tuple[int, int, int], LaurentPoly], ...]:
-    """Reduction of a min-0 arity-3 word to combinations over BASIS3."""
+def _reduce3_cached(word: tuple[int, int, int]) -> tuple[tuple[tuple[int, int, int], LaurentPoly], ...]:
+    """Reduction of an arity-3 word to combinations over BASIS3."""
     shift = min(word)
     if shift:
         combo = _combo_scale(
@@ -258,9 +269,8 @@ def _reduce3_shifted(word: tuple[int, int, int]) -> tuple[tuple[tuple[int, int, 
     if word in _BASIS3_SET:
         return ((word, ONE),)
     if max(word) <= 2:
-        identity = _base3_identity(word)
         combo: dict = {}
-        for scalar_, sub in identity:
+        for scalar_, sub in _BASE3[word]:
             combo = _combo_add(combo, _combo_scale(_reduce3_dict(sub), scalar_))
         return _combo_freeze(combo)
 
@@ -296,7 +306,7 @@ def _reduce3_shifted(word: tuple[int, int, int]) -> tuple[tuple[tuple[int, int, 
 
 
 def _reduce3_dict(word: tuple[int, int, int]) -> dict:
-    return dict(_reduce3_shifted(word))
+    return dict(_reduce3_cached(word))
 
 
 def reduce3(word: WordLike | GeneratorWord) -> ModuleCertificate:
@@ -304,12 +314,7 @@ def reduce3(word: WordLike | GeneratorWord) -> ModuleCertificate:
     w = as_word(word)
     if w.arity != 3:
         raise ArityTooSmall("reduce3 requires an arity-3 word")
-    shift = min(w.exponents)
-    shifted = tuple(d - shift for d in w.exponents)
-    combo = _reduce3_dict(shifted)  # type: ignore[arg-type]
-    if shift:
-        combo = _combo_scale(combo, _product_power_poly(3, shift))
-    return _certificate(w, combo)
+    return _certificate(w, _reduce3_dict(w.exponents))  # type: ignore[arg-type]
 
 
 # -- combination helpers ------------------------------------------------------

@@ -38,7 +38,6 @@ from ._terms_py import (
     permute_slots,
     scale_terms,
     sub_terms,
-    swap_z,
 )
 from .errors import NonInvertibleImage, NotDivisible
 
@@ -135,18 +134,6 @@ class LaurentPoly:
         mono = [0] * (slot + 1)
         mono[slot] = exponent
         return cls._raw({tuple(mono): 1})
-
-    @classmethod
-    def monomial(cls, exps: Mapping[str, int], coeff: Coefficient = 1) -> "LaurentPoly":
-        coeff = _norm_coeff(coeff)
-        if not coeff:
-            return cls.zero()
-        width = max((_slot(n) for n, e in exps.items() if e), default=-1) + 1
-        mono = [0] * width
-        for name, e in exps.items():
-            if e:
-                mono[_slot(name)] = e
-        return cls._raw({tuple(mono): coeff})
 
     # -- basic protocol ----------------------------------------------------
 
@@ -249,16 +236,7 @@ class LaurentPoly:
 
     def z_span(self) -> int:
         """Largest z-index that occurs (0 when no z variable occurs)."""
-        span = 0
-        for mono in self.terms:
-            if len(mono) > _Q_SLOTS:
-                width = len(mono)
-                if width - _Q_SLOTS > span:
-                    span = width - _Q_SLOTS
-        return span
-
-    def is_z_free(self) -> bool:
-        return all(len(m) <= _Q_SLOTS for m in self.terms)
+        return max(max(map(len, self.terms), default=0) - _Q_SLOTS, 0)
 
     def total_z_degrees(self) -> set[int]:
         """Set of total z-degrees over the terms (for homogeneity checks)."""
@@ -455,47 +433,24 @@ def substitute(p: LaurentPoly, images: Mapping[str, Scalar]) -> LaurentPoly:
 
 
 def relabel_z(p: LaurentPoly, mapping: Mapping[int, int]) -> LaurentPoly:
-    """Rename z-variables by an injective index map (key surgery, exact)."""
-    if not mapping:
+    """Rename z_i -> z_{mapping[i]}; indices the map leaves out stay put.
+
+    The map must send z1..z_span (span = p.z_span()) to distinct positive
+    indices, counting the indices it leaves out; keys above the span move
+    nothing.  Otherwise ValueError is raised before any term is moved, so
+    two monomials never merge and the result is exact.
+    """
+    span = p.z_span()
+    if not mapping or not span:
         return p
-    if len(mapping) == 2:
-        (i, ii), (j, jj) = mapping.items()
-        if ii == j and jj == i and i != j:
-            return LaurentPoly._raw(
-                swap_z(p.terms, i + _Q_SLOTS - 1, j + _Q_SLOTS - 1)
-            )
-    if set(mapping.keys()) == set(mapping.values()):
-        # a genuine permutation: identity fill keeps the slot map bijective
-        width = max(mapping) + _Q_SLOTS
-        perm = list(range(width))
-        for index, target in mapping.items():
-            perm[index + _Q_SLOTS - 1] = target + _Q_SLOTS - 1
-        return LaurentPoly._raw(permute_slots(p.terms, tuple(perm)))
-    out: dict = {}
-    for mono, coeff in p.terms.items():
-        width = len(mono)
-        if width <= _Q_SLOTS:
-            out[mono] = coeff
-            continue
-        new_width = width
-        for i in range(_Q_SLOTS, width):
-            if mono[i]:
-                j = mapping.get(i - _Q_SLOTS + 1)
-                if j is not None and j + _Q_SLOTS > new_width:
-                    new_width = j + _Q_SLOTS
-        exps = [0] * new_width
-        exps[0] = mono[0]
-        exps[1] = mono[1]
-        for i in range(_Q_SLOTS, width):
-            e = mono[i]
-            if e:
-                index = i - _Q_SLOTS + 1
-                target = mapping.get(index, index)
-                exps[target + _Q_SLOTS - 1] = e
-        out[_trim(exps)] = coeff
-    if len(out) != len(p.terms):
-        raise ValueError("z-relabelling must be injective")
-    return LaurentPoly._raw(out)
+    targets = [mapping.get(i, i) for i in range(1, span + 1)]
+    if len(set(targets)) != span or min(targets) < 1:
+        raise ValueError(f"z-relabelling must send z1..z{span} to distinct positive indices")
+    empty = span + _Q_SLOTS  # a padded slot that no monomial occupies
+    src = [0, 1] + [empty] * max(targets)
+    for slot, target in enumerate(targets, _Q_SLOTS):
+        src[target + _Q_SLOTS - 1] = slot
+    return LaurentPoly._raw(permute_slots(p.terms, tuple(src)))
 
 
 def permute_z(p: LaurentPoly, sigma: Mapping[int, int] | Iterable[int]) -> LaurentPoly:
@@ -565,25 +520,3 @@ def render(p: LaurentPoly) -> str:
         else:
             pieces.append(("- " if negative else "+ ") + body)
     return " ".join(pieces)
-
-
-class RationalFunction:
-    """A numerator/denominator pair, used transiently during expansion."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: LaurentPoly, denominator: LaurentPoly):
-        if not denominator.terms:
-            raise ZeroDivisionError("rational function with zero denominator")
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
-    def __repr__(self) -> str:
-        return f"RationalFunction(({self.numerator}) / ({self.denominator}))"
-
-    def cancel(self) -> LaurentPoly:
-        """Exact quotient numerator/denominator (NotDivisible if not exact)."""
-        return exact_div(self.numerator, self.denominator)

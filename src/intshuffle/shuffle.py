@@ -28,11 +28,11 @@ from .poly import (
     Q1,
     Q2,
     LaurentPoly,
-    RationalFunction,
     exact_div,
     is_symmetric,
     permute_z,
     relabel_z,
+    signed_sum,
     z,
 )
 
@@ -86,13 +86,6 @@ class ShuffleElement:
         return str(self.poly)
 
 
-def omega(i: int, j: int) -> RationalFunction:
-    """The shuffle kernel for the ordered variable pair (z_i, z_j)."""
-    if i == j:
-        raise ValueError("omega requires two distinct z-indices")
-    return RationalFunction(omega_numerator(i, j), z(i) - z(j))
-
-
 @lru_cache(maxsize=None)
 def omega_numerator(i: int, j: int) -> LaurentPoly:
     """(z_i - q z_j)(z_j - q1 z_i)(z_j - q2 z_i) with q = q1 q2, expanded."""
@@ -104,10 +97,9 @@ def sym(p: LaurentPoly, k: int) -> LaurentPoly:
     """Full symmetric-group orbit sum over z_1..z_k."""
     if p.z_span() > k:
         raise ValueError(f"polynomial uses z-index above arity {k}")
-    total = LaurentPoly.zero()
-    for perm in itertools.permutations(range(1, k + 1)):
-        total = total + permute_z(p, perm)
-    return total
+    return signed_sum(
+        (1, permute_z(p, perm)) for perm in itertools.permutations(range(1, k + 1))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -170,15 +162,17 @@ def shuffle(left: ShuffleElement, right: ShuffleElement) -> ShuffleElement:
     base = left.poly * _coset_numerator(n, tuple(range(1, k + 1)))
     if right.poly != ONE:
         base = base * relabel_z(right.poly, {j: k + j for j in range(1, l + 1)})
-    numerator = LaurentPoly.zero()
-    for block in itertools.combinations(range(1, n + 1), k):
-        comp = [b for b in range(1, n + 1) if b not in block]
-        inversions = sum(1 for a in block for b in comp if a > b)
-        mapping = {i + 1: block[i] for i in range(k)}
-        mapping.update({k + j + 1: comp[j] for j in range(l)})
-        image = relabel_z(base, mapping)
-        numerator = numerator - image if inversions % 2 else numerator + image
+    blocks = itertools.combinations(range(1, n + 1), k)
+    numerator = signed_sum(_coset_image(base, block, n) for block in blocks)
     return ShuffleElement(n, _divide_vandermonde(numerator, n))
+
+
+def _coset_image(base: LaurentPoly, block: tuple, n: int) -> tuple[int, LaurentPoly]:
+    """(sign, image) of the base coset term relabelled onto `block`."""
+    comp = [b for b in range(1, n + 1) if b not in block]
+    inversions = sum(1 for a in block for b in comp if a > b)
+    mapping = {i + 1: a for i, a in enumerate(block + tuple(comp))}
+    return (-1 if inversions % 2 else 1, relabel_z(base, mapping))
 
 
 def shuffle_full_sym(left: ShuffleElement, right: ShuffleElement) -> ShuffleElement:

@@ -119,10 +119,24 @@ def test_verify_cert_files(tmp_path, capsys):
     code, out, _ = run(capsys, "verify-cert", str(tampered))
     assert (code, out) == (1, "false\n")
 
+    # well-formed certificates whose claim is false: exit 1
+    for cofactor, word in (("1", [0, 0]), ("z1", [0, 0, 0])):
+        wrong = dict(payload, combination=[[cofactor, word]])
+        tampered.write_text(json.dumps(wrong))
+        code, out, _ = run(capsys, "verify-cert", str(tampered))
+        assert (code, out) == (1, "false\n"), (cofactor, word)
+
+    # malformed files: exit 2 with a message, never a traceback
     malformed = tmp_path / "broken.json"
-    malformed.write_text("{not json")
-    code, _, err = run(capsys, "verify-cert", str(malformed))
-    assert code == 2 and "error:" in err
+    good = json.loads(cert_file.read_text())
+    bad_letters = [dict(good, target=[1.5, 0, 1]), dict(good, target=[True, 0, 1]),
+                   dict(good, combination=[["1", [2, 0, True]]]),
+                   dict(good, combination=[["1", [2, 0, 1.5]]]), dict(good, schema=True)]
+    texts = ["{not json", "[]", '"x"'] + [json.dumps(p) for p in bad_letters]
+    for text in texts:
+        malformed.write_text(text)
+        code, _, err = run(capsys, "verify-cert", str(malformed))
+        assert code == 2 and err.startswith("error:"), text
 
 
 def test_verify_ideal_cert_file(tmp_path, capsys):
@@ -134,6 +148,14 @@ def test_verify_ideal_cert_file(tmp_path, capsys):
         cert_file.write_text(out)
         code, out, _ = run(capsys, "verify-ideal-cert", str(cert_file))
         assert (code, out) == (0, "true\n"), word
+
+    good = json.loads(cert_file.read_text())
+    texts = ["[]", '"x"', json.dumps(dict(good, target=[2, -2, 4.5])),
+             json.dumps(dict(good, target=[True, -2, 4])), json.dumps(dict(good, schema=2))]
+    for text in texts:
+        cert_file.write_text(text)
+        code, _, err = run(capsys, "verify-ideal-cert", str(cert_file))
+        assert code == 2 and err.startswith("error:"), text
 
 
 def test_parse_error_exit_code(capsys):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intshuffle.errors import NonInvertibleImage, NotDivisible
@@ -14,6 +14,7 @@ from intshuffle.poly import (
     exact_div,
     is_symmetric,
     permute_z,
+    relabel_z,
     render,
     substitute,
     z,
@@ -206,6 +207,30 @@ def test_substitute_is_ring_hom(a, b):
         return  # negative exponent hit a non-monomial image
     assert sab == sa * sb
     assert s_sum == sa + sb
+
+
+def _relabel_per_term(p, mapping):
+    """Reference relabelling: rebuild each monomial from renamed z factors."""
+    out = LaurentPoly.zero()
+    for mono, c in p.terms.items():
+        term = LaurentPoly({mono[:2]: c})
+        for i, e in enumerate(mono[2:], 1):
+            term = term * z(mapping.get(i, i), e)
+        out = out + term
+    return out
+
+
+@given(_polys(), st.dictionaries(st.integers(1, 6), st.integers(1, 7), max_size=6))
+@example(z(1) * z(2), {1: 2})
+@settings(max_examples=200, deadline=None)
+def test_relabel_z_matches_per_term_reference(p, mapping):
+    # keys 4..6 lie above the span of p, targets 4..7 are fresh indices
+    used = [mapping.get(i, i) for i in range(1, p.z_span() + 1)]
+    if len(set(used)) == len(used):
+        assert relabel_z(p, mapping) == _relabel_per_term(p, mapping)
+    else:
+        with pytest.raises(ValueError):
+            relabel_z(p, mapping)
 
 
 @given(_polys(), _polys())

@@ -7,7 +7,6 @@ import pytest
 from intshuffle.poly import Q1, Q2, LaurentPoly, is_symmetric, substitute, z
 from intshuffle.shuffle import (
     ShuffleElement,
-    omega,
     omega_numerator,
     one_variable,
     scalar,
@@ -18,10 +17,6 @@ from intshuffle.shuffle import (
 )
 
 Q = Q1 * Q2
-
-
-def test_omega_denominator():
-    assert omega(1, 2).denominator == z(1) - z(2)
 
 
 def test_omega_numerator_expansion():
@@ -36,7 +31,7 @@ def test_omega_specialized_at_unit_parameters():
 
     n = substitute(omega_numerator(1, 2), {"q1": 1, "q2": 1})
     assert n == (z(1) - z(2)) ** 3
-    assert exact_div(n, omega(1, 2).denominator) == (z(1) - z(2)) ** 2
+    assert exact_div(n, z(1) - z(2)) == (z(1) - z(2)) ** 2
 
 
 def test_omega_index_swap():
