@@ -7,10 +7,17 @@ monomials always share one key.  The zero polynomial is the empty dict.
 
 Functions return fresh dicts and leave their arguments alone, except the
 `*_into` accumulators, which update their first argument in place.
+
+`mul_terms` works on packed keys: a monomial of s slots becomes one int
+holding e_i + 2^(b-1) in bits [b*i, b*(i+1)), so multiplying two monomials
+is adding two ints.  It packs its input and unpacks its result, so callers
+only ever see tuples.
 """
 
 from __future__ import annotations
 
+import struct
+from functools import lru_cache
 from operator import itemgetter
 
 
@@ -83,21 +90,19 @@ def mul_terms(a: dict, b: dict) -> dict:
         return {}
     if len(a) > len(b):
         a, b = b, a
+    if len(a) == 1:
+        (mono, c), = a.items()
+        return mul_monomial(b, mono, c)
+    pack, unpack, bias = _codec(max(_width(a), _width(b)), _reach(a) + _reach(b))
+    packed_b = [(pack(m) - bias, c) for m, c in b.items()]
     out: dict = {}
     get = out.get
     for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = mono_mul(ma, mb)
-            c0 = get(m)
-            if c0 is None:
-                out[m] = ca * cb
-            else:
-                c0 = c0 + ca * cb
-                if c0:
-                    out[m] = c0
-                else:
-                    del out[m]
-    return out
+        ka = pack(ma)
+        for kb, cb in packed_b:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return {unpack(k): c for k, c in out.items() if c}
 
 
 def mul_monomial(a: dict, mono: tuple, c) -> dict:
@@ -171,14 +176,71 @@ def permute_slots(a: dict, src: tuple) -> dict:
     pad = (0,) * (max(src) + 1)
     out: dict = {}
     for mono, c in a.items():
-        m = get(mono + pad[len(mono):])
-        if not m[-1]:
-            n = len(m) - 1
-            while n and not m[n - 1]:
-                n -= 1
-            m = m[:n]
-        out[m] = c
+        out[trimmed(get(mono + pad[len(mono):]))] = c
     return out
+
+
+def trimmed(m: tuple) -> tuple:
+    """m without its trailing zeros; m is nonempty."""
+    if m[-1]:
+        return m
+    n = len(m) - 1
+    while n and not m[n - 1]:
+        n -= 1
+    return m[:n]
+
+
+def _width(a: dict) -> int:
+    """The number of slots of the longest key of a nonempty term map."""
+    return max(map(len, a))
+
+
+def _reach(a: dict) -> int:
+    """The largest absolute exponent in a term map."""
+    keys = [m for m in a if m]
+    if not keys:
+        return 0
+    return max(max(map(max, keys)), -min(map(min, keys)))
+
+
+def _slot_bytes(reach: int) -> int:
+    """Bytes per packed slot so that exponents up to +-reach fit."""
+    for size in (2, 4, 8):
+        if reach < 1 << (8 * size - 1):
+            return size
+    raise ValueError(f"exponent {reach} is too large to pack")
+
+
+def _codec(slots: int, reach: int):
+    """(pack, unpack, bias) for monomials of at most `slots` slots.
+
+    pack maps an exponent tuple to its packed int and unpack maps a packed
+    int back to the trimmed tuple.  bias is the packed zero monomial, so
+    pack(m1) + pack(m2) - bias == pack(m1 * m2) while every exponent of the
+    product stays within +-reach.
+    """
+    return _codec_cached(max(slots, 1), _slot_bytes(reach))
+
+
+@lru_cache(maxsize=None)
+def _codec_cached(slots: int, size: int):
+    layout = struct.Struct("<%d%s" % (slots, {2: "h", 4: "i", 8: "q"}[size]))
+    bits = 8 * size
+    # Flipping the top bit of each slot turns two's complement into e + 2^(b-1).
+    bias = sum(1 << (bits * i + bits - 1) for i in range(slots))
+    pad = (0,) * slots
+    to_bytes = layout.pack
+    from_bytes = layout.unpack
+    nbytes = layout.size
+    from_int = int.from_bytes
+
+    def pack(mono: tuple) -> int:
+        return from_int(to_bytes(*mono, *pad[len(mono):]), "little") ^ bias
+
+    def unpack(key: int) -> tuple:
+        return trimmed(from_bytes((key ^ bias).to_bytes(nbytes, "little")))
+
+    return pack, unpack, bias
 
 
 def addmul_into(r: dict, b: dict, mono: tuple, c) -> list:

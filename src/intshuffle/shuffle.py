@@ -11,8 +11,9 @@ permutations within the two blocks, the full symmetric sum equals k!.l!
 times the sum over the C(k+l, k) block-shuffle coset representatives; the
 implementation sums over those representatives and drops the 1/(k!.l!)
 factor, which keeps all arithmetic exact.  Every coset term is placed over
-the common denominator prod_{i<j}(z_i - z_j) and the sum is divided out
-exactly, so results are honest Laurent polynomials.
+the common denominator prod_{i<j}(z_i - z_j); the sum is antisymmetric, and
+its quotient by that Vandermonde is read off through Schur functions
+(`schur.divide_vandermonde`), so results are honest Laurent polynomials.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .poly import (
     signed_sum,
     z,
 )
+from .schur import divide_vandermonde
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,11 @@ def _vandermonde(n: int) -> LaurentPoly:
 
 
 def _divide_vandermonde(p: LaurentPoly, n: int) -> LaurentPoly:
-    """Exact division by prod_{i<j<=n}(z_i - z_j), one binomial at a time."""
+    """Exact division by prod_{i<j<=n}(z_i - z_j), one binomial at a time.
+
+    Slower than `schur.divide_vandermonde` and independent of it; the
+    reference `shuffle_full_sym` divides with this.
+    """
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             p = exact_div(p, _binomial(i, j))
@@ -164,7 +170,7 @@ def shuffle(left: ShuffleElement, right: ShuffleElement) -> ShuffleElement:
         base = base * relabel_z(right.poly, {j: k + j for j in range(1, l + 1)})
     blocks = itertools.combinations(range(1, n + 1), k)
     numerator = signed_sum(_coset_image(base, block, n) for block in blocks)
-    return ShuffleElement(n, _divide_vandermonde(numerator, n))
+    return ShuffleElement(n, divide_vandermonde(numerator, n))
 
 
 def _coset_image(base: LaurentPoly, block: tuple, n: int) -> tuple[int, LaurentPoly]:

@@ -250,3 +250,43 @@ def test_canonical_uniqueness():
     b = z(2) + z(1)
     assert a.terms == b.terms
     assert hash(a) == hash(b)
+
+
+def _mul_per_term(a, b):
+    """Reference product: add exponent vectors one pair of terms at a time."""
+    out = LaurentPoly.zero()
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            width = max(len(ma), len(mb))
+            ma_, mb_ = ma + (0,) * (width - len(ma)), mb + (0,) * (width - len(mb))
+            out = out + LaurentPoly({tuple(x + y for x, y in zip(ma_, mb_)): ca * cb})
+    return out
+
+
+# exponents at the edges of the 2-, 4- and 8-byte packed slots of mul_terms
+_wide_exponents = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from([2**15 - 2, -(2**15) + 1, 2**31 - 2, -(2**31) + 1, 2**40]),
+)
+
+
+@st.composite
+def _wide_polys(draw):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        mono = tuple(draw(_wide_exponents) for _ in range(draw(st.integers(0, 5))))
+        terms[mono] = draw(_coeffs)
+    return LaurentPoly(terms)
+
+
+@given(_wide_polys(), _wide_polys())
+@example(LaurentPoly({(2**15 - 1,): 1, (): 1}), LaurentPoly({(1,): 1, (0, 1): 1}))
+@settings(max_examples=200, deadline=None)
+def test_mul_matches_per_term_reference(a, b):
+    assert a * b == _mul_per_term(a, b)
+
+
+def test_mul_rejects_exponents_past_packing():
+    big = LaurentPoly({(2**62,): 1, (0, 1): 1})
+    with pytest.raises(ValueError):
+        big * big
