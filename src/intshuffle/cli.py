@@ -57,12 +57,12 @@ def _emit(args, payload: dict, text: str) -> None:
 def _cmd_expand(args) -> int:
     value = eval_text(args.expr)
     if isinstance(value, ShuffleElement):
-        payload = {"schema": 1, "kind": "element", "arity": value.arity,
-                   "poly": render(value.poly)}
-        _emit(args, payload, render(value.poly))
+        text = render(value.poly)
+        payload = {"schema": 1, "kind": "element", "arity": value.arity, "poly": text}
     else:
-        payload = {"schema": 1, "kind": "scalar", "poly": render(value)}
-        _emit(args, payload, render(value))
+        text = render(value)
+        payload = {"schema": 1, "kind": "scalar", "poly": text}
+    _emit(args, payload, text)
     return 0
 
 
@@ -76,9 +76,8 @@ def _cmd_wheel(args) -> int:
 def _cmd_corollary(args) -> int:
     element = as_element(eval_text(args.expr))
     holds, cofactor = corollary_check(element)
-    payload = {"schema": 1, "holds": holds,
-               "cofactor": render(cofactor) if holds else None}
-    _emit(args, payload, render(cofactor) if holds else "not divisible")
+    text = render(cofactor) if holds else None
+    _emit(args, {"schema": 1, "holds": holds, "cofactor": text}, text or "not divisible")
     return 0 if holds else 1
 
 

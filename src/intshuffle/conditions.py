@@ -38,7 +38,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from .errors import ArityTooSmall, IdentityViolated, NotDivisible
-from .generators import GeneratorWord, WordLike, as_word, _certificate_payload, _json_word
+from .generators import (
+    GeneratorWord,
+    WordLike,
+    _certificate_payload,
+    _json_poly,
+    _json_word,
+    as_word,
+)
 from .poly import (
     Q1,
     Q2,
@@ -169,15 +176,15 @@ class IdealCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "IdealCertificate":
-        from .expr import as_element, parse_poly
+        from .expr import as_element
 
-        payload = _certificate_payload(text)
+        payload = _certificate_payload(text, "target", "A", "B")
         raw = payload["target"]
         if isinstance(raw, str):
-            target: GeneratorWord | ShuffleElement = as_element(parse_poly(raw))
+            target: GeneratorWord | ShuffleElement = as_element(_json_poly(raw, "target"))
         else:
-            target = _json_word(raw)
-        return cls(target, parse_poly(payload["A"]), parse_poly(payload["B"]))
+            target = _json_word(raw, "target")
+        return cls(target, _json_poly(payload["A"], "A"), _json_poly(payload["B"], "B"))
 
 
 def verify_ideal_certificate(cert: IdealCertificate) -> bool:

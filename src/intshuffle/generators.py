@@ -117,22 +117,35 @@ def verify_lemma(word: WordLike | GeneratorWord, n: int, which: str) -> bool:
     return lhs == rhs
 
 
-def _certificate_payload(text: str) -> dict:
-    """The JSON object of a certificate file; ValueError unless it has schema 1."""
+def _certificate_payload(text: str, *keys: str) -> dict:
+    """The JSON object of a certificate file; ValueError unless it has
+    schema 1 and every field in `keys`."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("a certificate must be a JSON object")
     schema = payload.get("schema")
     if type(schema) is not int or schema != 1:
         raise ValueError("unsupported certificate schema")
+    for key in keys:
+        if key not in payload:
+            raise ValueError(f"certificate has no {key!r} field")
     return payload
 
 
-def _json_word(raw) -> GeneratorWord:
-    """A word read from certificate JSON: a list of int letters (no bools)."""
+def _json_word(raw, field: str) -> GeneratorWord:
+    """The word in certificate field `field`: a list of int letters (no bools)."""
     if not isinstance(raw, list) or any(type(d) is not int for d in raw):
-        raise ValueError(f"a word must be a list of integer letters, got {raw!r}")
+        raise ValueError(f"{field} must be a list of integer letters, got {raw!r}")
     return GeneratorWord(tuple(raw))
+
+
+def _json_poly(raw, field: str) -> LaurentPoly:
+    """The scalar in certificate field `field`: a polynomial written as a string."""
+    from .expr import parse_poly
+
+    if not isinstance(raw, str):
+        raise ValueError(f"{field} must be a string, not {type(raw).__name__}")
+    return parse_poly(raw)
 
 
 @dataclass(frozen=True)
@@ -162,15 +175,20 @@ class ModuleCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "ModuleCertificate":
-        from .expr import parse_poly
-
-        payload = _certificate_payload(text)
-        target = _json_word(payload["target"])
-        combination = tuple(
-            (parse_poly(cofactor), _json_word(word))
-            for cofactor, word in payload["combination"]
-        )
-        return cls(target, combination)
+        payload = _certificate_payload(text, "target", "combination")
+        target = _json_word(payload["target"], "target")
+        pairs = payload["combination"]
+        if not isinstance(pairs, list):
+            raise ValueError(f"combination must be a list, not {type(pairs).__name__}")
+        combination = []
+        for i, pair in enumerate(pairs):
+            field = f"combination[{i}]"
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"{field} must be a [cofactor, word] pair")
+            combination.append(
+                (_json_poly(pair[0], field + "[0]"), _json_word(pair[1], field + "[1]"))
+            )
+        return cls(target, tuple(combination))
 
 
 def verify_certificate(cert: ModuleCertificate) -> bool:

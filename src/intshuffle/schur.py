@@ -1,54 +1,87 @@
-"""Division of antisymmetric Laurent polynomials by the Vandermonde.
+"""Symmetric Laurent polynomials through their alternant (Schur) coefficients.
 
 A polynomial p antisymmetric in z1..zn is a sum of alternants,
 p = sum_alpha c_alpha a_alpha over strictly decreasing exponent vectors
 alpha, where a_alpha = sum_sigma sign(sigma) z^sigma(alpha) and c_alpha is
 the coefficient of z^alpha in p (the q-exponents ride along in c_alpha).
-With V = prod_{i<j}(z_i - z_j) = a_delta, delta = (n-1, ..., 1, 0),
+With V = prod_{i<j}(z_i - z_j) = a_delta, delta = (n-1, ..., 1, 0), a
+symmetric f is fixed by the alternant coefficients of f*V, and
 
-    p / V = sum_alpha c_alpha s_{alpha - delta},
+    f = (f V) / V = sum_alpha c_alpha s_{alpha - delta},
     s_lambda = sum_mu K(lambda, mu) m_mu,
 
 where s_lambda is a Schur polynomial, m_mu the monomial symmetric
 polynomial of the partition mu and K(lambda, mu) the Kostka number: the
 count of semistandard tableaux of shape lambda and content mu.  Laurent
 exponents are handled by s_lambda = e_n^t s_{lambda - t}, which shifts
-lambda and mu by the same t.  So the quotient is read off the terms of p
-with strictly decreasing z-exponents, and no division is carried out.
+lambda and mu by the same t.
+
+Alternant coefficients are kept as a dict alpha -> {q-part: c}, where the
+q-part is a trimmed exponent tuple over q1, q2.  `alternant` reads them off
+a symmetric polynomial by straightening: f a_delta = sum_beta f_beta
+a_{beta + delta} over the monomials beta of f, and a_gamma is 0 when gamma
+repeats an entry, else the permutation sign times a_{sorted gamma}.
+`from_alternant` expands them back into monomials.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import add
 
-from ._terms_py import trimmed
+from ._terms_py import add_into, trimmed
 from .poly import LaurentPoly
 
 
-def divide_vandermonde(p: LaurentPoly, n: int) -> LaurentPoly:
-    """p / prod_{i<j<=n}(z_i - z_j) for p antisymmetric in z1..zn.
+@lru_cache(maxsize=1 << 16)
+def straighten(gamma: tuple):
+    """(sign, alpha) with a_gamma = sign * a_alpha and alpha strictly
+    decreasing, or None when gamma repeats an entry (a_gamma = 0)."""
+    n = len(gamma)
+    if len(set(gamma)) < n:
+        return None
+    inversions = sum(
+        1 for i in range(n - 1) for j in range(i + 1, n) if gamma[i] < gamma[j]
+    )
+    return (-1 if inversions & 1 else 1, tuple(sorted(gamma, reverse=True)))
 
-    The caller guarantees antisymmetry (the quotient is then symmetric);
-    p may use no z-index above n.
-    """
-    width = n + 2
-    pad = (0,) * width
-    delta = tuple(range(n - 1, -1, -1))
-    # lambda (shifted so its last part is 0), shift t -> {q-part: coefficient}
-    by_shape: dict = {}
-    for mono, c in p.terms.items():
+
+def group_by_z(terms: dict, n: int) -> dict:
+    """A term map as z-exponents (padded to n) -> {q-part: c}; no z-index above n."""
+    pad = (0,) * (n + 2)
+    out: dict = {}
+    for mono, c in terms.items():
         mono = mono + pad[len(mono):]
-        alpha = mono[2:]
-        if any(alpha[i] <= alpha[i + 1] for i in range(n - 1)):
+        qpart = mono[:2] if mono[1] else mono[:1] if mono[0] else ()
+        out.setdefault(mono[2:], {})[qpart] = c
+    return out
+
+
+def alternant(f: LaurentPoly, n: int) -> dict:
+    """The alternant coefficients of f * V for f symmetric in z1..zn.
+
+    These are the terms of f * V whose z-exponents strictly decrease.
+    """
+    delta = tuple(range(n - 1, -1, -1))
+    out: dict = {}
+    for zpart, row in group_by_z(f.terms, n).items():
+        got = straighten(tuple(map(add, zpart, delta)))
+        if got is None:
             continue
-        t = alpha[-1]
-        key = (tuple(a - d - t for a, d in zip(alpha, delta)), t)
-        row = by_shape.setdefault(key, {})
-        row[mono[:2]] = c
+        sign, alpha = got
+        add_into(out.setdefault(alpha, {}), row, sign)
+    return {alpha: row for alpha, row in out.items() if row}
+
+
+def from_alternant(coeffs: dict, n: int) -> LaurentPoly:
+    """The symmetric f = sum_alpha c_alpha s_{alpha - delta} in z1..zn, in monomials."""
+    delta = tuple(range(n - 1, -1, -1))
     # mu (shifted) -> {q-part: coefficient}
     by_content: dict = {}
-    for (shape, t), row in by_shape.items():
+    for alpha, row in coeffs.items():
+        t = alpha[-1]
+        shape = tuple(a - d - t for a, d in zip(alpha, delta))
         for content, k in _schur_row(shape):
             acc = by_content.setdefault(tuple(e + t for e in content), {})
             for qpart, c in row.items():
@@ -58,6 +91,7 @@ def divide_vandermonde(p: LaurentPoly, n: int) -> LaurentPoly:
         orbit = _orbit(content)
         for qpart, c in acc.items():
             if c:
+                qpart = (qpart + (0, 0))[:2]
                 for zpart in orbit:
                     out[trimmed(qpart + zpart)] = c
     return LaurentPoly._raw(out)

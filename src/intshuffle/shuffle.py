@@ -6,14 +6,20 @@ For P in k variables and Q in l variables,
                               prod_{i<=k<j} omega(z_i, z_j) ],
 
 with the kernel omega(zi, zj) = (zi - q zj)(zj - q1 zi)(zj - q2 zi)/(zi - zj)
-and q = q1 q2.  Because P, Q and the omega product are invariant under
-permutations within the two blocks, the full symmetric sum equals k!.l!
-times the sum over the C(k+l, k) block-shuffle coset representatives; the
-implementation sums over those representatives and drops the 1/(k!.l!)
-factor, which keeps all arithmetic exact.  Every coset term is placed over
-the common denominator prod_{i<j}(z_i - z_j); the sum is antisymmetric, and
-its quotient by that Vandermonde is read off through Schur functions
-(`schur.divide_vandermonde`), so results are honest Laurent polynomials.
+and q = q1 q2.  Over the common denominator V = prod_{i<j}(z_i - z_j) the
+numerator (P * Q) V is antisymmetric, so it is fixed by its alternant
+(Schur) coefficients (`schur`).  With A = P V_k = sum c_mu a_mu and
+B = Q V_l = sum d_nu a_nu, and K the product of the kernel numerators
+over the cross pairs i <= k < j,
+
+    (P * Q) V = sum c_mu d_nu sum_{t in K} coeff_t a_{(mu || nu) + t},
+
+because the symmetrization of a_mu(z_1..z_k) a_nu(z_{k+1}..z_{k+l}) K is
+k!.l! times that of z^(mu || nu) K; the 1/(k!.l!) cancels exactly.  Each
+a_gamma is straightened to 0 or a signed a_alpha with alpha strictly
+decreasing, and the symmetric result is expanded into monomials once,
+through Kostka numbers.  No numerator is multiplied out and nothing is
+divided, so all arithmetic stays exact.
 """
 
 from __future__ import annotations
@@ -22,8 +28,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from operator import add
 from typing import Iterable, Sequence
 
+from ._terms_py import add_into, mul_terms
 from .poly import (
     ONE,
     Q1,
@@ -36,7 +44,7 @@ from .poly import (
     signed_sum,
     z,
 )
-from .schur import divide_vandermonde
+from .schur import alternant, from_alternant, group_by_z, straighten
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,14 @@ class ShuffleElement:
             )
         if not is_symmetric(self.poly, self.arity):
             raise ValueError("shuffle elements must be symmetric in z1..zk")
+
+    @classmethod
+    def _symmetric(cls, arity: int, poly: LaurentPoly) -> "ShuffleElement":
+        """Wrap a polynomial that is symmetric by construction, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "poly", poly)
+        return self
 
     def __add__(self, other: "ShuffleElement") -> "ShuffleElement":
         if not isinstance(other, ShuffleElement):
@@ -121,8 +137,8 @@ def _vandermonde(n: int) -> LaurentPoly:
 def _divide_vandermonde(p: LaurentPoly, n: int) -> LaurentPoly:
     """Exact division by prod_{i<j<=n}(z_i - z_j), one binomial at a time.
 
-    Slower than `schur.divide_vandermonde` and independent of it; the
-    reference `shuffle_full_sym` divides with this.
+    Independent of the Schur expansion in `shuffle`; the reference
+    `shuffle_full_sym` divides with this.
     """
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -130,55 +146,51 @@ def _divide_vandermonde(p: LaurentPoly, n: int) -> LaurentPoly:
     return p
 
 
-@lru_cache(maxsize=None)
-def _coset_numerator(n: int, block: tuple[int, ...]) -> LaurentPoly:
-    """Numerator contribution of one coset over the common denominator.
-
-    For the coset assigning the first block to the variable set `block`
-    (and the second block to its complement in {1..n}), this is
-    prod_cross omega_num(z_a, z_b) times V_n / prod_cross (z_a - z_b),
-    where the correction quotient is the signed product of the within-block
-    Vandermonde factors.
-    """
-    comp = [b for b in range(1, n + 1) if b not in block]
-    out = _vandermonde(n)
-    for a in block:
-        for b in comp:
-            out = exact_div(out, _binomial(a, b))
+@lru_cache(maxsize=16)
+def _cross_kernel(k: int, l: int) -> tuple:
+    """prod_{a<=k<b<=k+l} omega_num(z_a, z_b) as (z-exponents, {q-part: c}) pairs."""
+    out = ONE
+    for a in range(1, k + 1):
+        for b in range(k + 1, k + l + 1):
             out = out * omega_numerator(a, b)
-    return out
+    return tuple(group_by_z(out.terms, k + l).items())
+
+
+def _alternant_product(left: dict, right: dict, k: int, l: int) -> dict:
+    """Alternant coefficients of (P * Q) V_{k+l} from those of P V_k (`left`)
+    and Q V_l (`right`): the sum of c_mu d_nu coeff_t a_{(mu || nu) + t} over
+    the terms t of the cross kernel, each a_gamma straightened.
+    """
+    kernel = _cross_kernel(k, l)
+    out: dict = {}
+    for mu, c_mu in left.items():
+        for nu, d_nu in right.items():
+            pair = mu + nu
+            # the kernel terms landing on each alpha, summed before multiplying
+            by_alpha: dict = {}
+            for t, coeff in kernel:
+                got = straighten(tuple(map(add, pair, t)))
+                if got is not None:
+                    sign, alpha = got
+                    add_into(by_alpha.setdefault(alpha, {}), coeff, sign)
+            c = mul_terms(c_mu, d_nu)
+            for alpha, coeff in by_alpha.items():
+                add_into(out.setdefault(alpha, {}), mul_terms(c, coeff))
+    return {alpha: row for alpha, row in out.items() if row}
 
 
 def shuffle(left: ShuffleElement, right: ShuffleElement) -> ShuffleElement:
     """The shuffle product; arity adds, and the result is again symmetric.
 
-    Only the coset placing the first block on z_1..z_k is multiplied out;
-    every other coset term is a signed relabelling of it.  The block-order-
-    preserving permutation carrying the base coset to another one maps the
-    kernel product and the block factors along, while the Vandermonde
-    correction picks up the permutation sign, which equals the parity of
-    the number of cross pairs written in descending order.
+    The alternant coefficients of the product come from those of the
+    operands by straightening (`_alternant_product`), and the product is
+    expanded into monomials once, at the end.
     """
     k, l = left.arity, right.arity
-    if k == 0:
-        return ShuffleElement(l, left.poly * right.poly)
-    if l == 0:
-        return ShuffleElement(k, left.poly * right.poly)
-    n = k + l
-    base = left.poly * _coset_numerator(n, tuple(range(1, k + 1)))
-    if right.poly != ONE:
-        base = base * relabel_z(right.poly, {j: k + j for j in range(1, l + 1)})
-    blocks = itertools.combinations(range(1, n + 1), k)
-    numerator = signed_sum(_coset_image(base, block, n) for block in blocks)
-    return ShuffleElement(n, divide_vandermonde(numerator, n))
-
-
-def _coset_image(base: LaurentPoly, block: tuple, n: int) -> tuple[int, LaurentPoly]:
-    """(sign, image) of the base coset term relabelled onto `block`."""
-    comp = [b for b in range(1, n + 1) if b not in block]
-    inversions = sum(1 for a in block for b in comp if a > b)
-    mapping = {i + 1: a for i, a in enumerate(block + tuple(comp))}
-    return (-1 if inversions % 2 else 1, relabel_z(base, mapping))
+    if k == 0 or l == 0:
+        return ShuffleElement(k + l, left.poly * right.poly)
+    coeffs = _alternant_product(alternant(left.poly, k), alternant(right.poly, l), k, l)
+    return ShuffleElement._symmetric(k + l, from_alternant(coeffs, k + l))
 
 
 def shuffle_full_sym(left: ShuffleElement, right: ShuffleElement) -> ShuffleElement:
@@ -222,12 +234,26 @@ def scalar(value) -> ShuffleElement:
     return ShuffleElement(0, p)
 
 
+def _fold_word(exponents: tuple[int, ...]) -> dict:
+    """Alternant coefficients of a nonempty word, folded letter by letter.
+
+    Prefixes come from the bounded cache `_prefix_alternant`.
+    """
+    if len(exponents) == 1:
+        return {exponents: {(): 1}}
+    head = _prefix_alternant(exponents[:-1])
+    return _alternant_product(head, {exponents[-1:]: {(): 1}}, len(exponents) - 1, 1)
+
+
+_prefix_alternant = lru_cache(maxsize=256)(_fold_word)
+
+
 @lru_cache(maxsize=None)
 def _shuffle_word_cached(exponents: tuple[int, ...]) -> ShuffleElement:
     if not exponents:
         return scalar(1)
-    head = _shuffle_word_cached(exponents[:-1])
-    return shuffle(head, one_variable(exponents[-1]))
+    n = len(exponents)
+    return ShuffleElement._symmetric(n, from_alternant(_fold_word(exponents), n))
 
 
 def shuffle_word(word: Sequence[int] | Iterable[int]) -> ShuffleElement:

@@ -1,5 +1,6 @@
 """CLI surface: canonical output, exit codes, JSON schema, determinism."""
 
+import hashlib
 import json
 
 from intshuffle.cli import main
@@ -45,6 +46,13 @@ def test_expand_json(capsys):
         "arity": 2,
         "poly": GOLDEN_00,
     }
+
+
+def test_expand_arity_five(capsys):
+    code, out, _ = run(capsys, "expand", "sh[0,0,0,0,0]")
+    assert code == 0
+    assert 1 + out.count(" + ") + out.count(" - ") == 213471
+    assert hashlib.md5(out.encode()).hexdigest() == "c41d455c7ae25b60752bbadfe10d8d4a"
 
 
 def test_determinism(capsys):
@@ -138,6 +146,23 @@ def test_verify_cert_files(tmp_path, capsys):
         code, _, err = run(capsys, "verify-cert", str(malformed))
         assert code == 2 and err.startswith("error:"), text
 
+    # a missing key or a field of the wrong type is named in the message
+    pair = good["combination"][0]
+    named = [
+        ({"schema": 1, "target": [0, 0, 0]}, "no 'combination' field"),
+        ({"schema": 1, "combination": []}, "no 'target' field"),
+        (dict(good, target=5), "target must be a list"),
+        (dict(good, combination={"1": [2, 0, 1]}), "combination must be a list, not dict"),
+        (dict(good, combination=[pair, ["1"]]), "combination[1] must be a [cofactor, word] pair"),
+        (dict(good, combination=[pair, 7]), "combination[1] must be a [cofactor, word] pair"),
+        (dict(good, combination=[[5, [2, 0, 1]]]), "combination[0][0] must be a string, not int"),
+        (dict(good, combination=[["1", [2, 0, 1.5]]]), "combination[0][1] must be a list"),
+    ]
+    for payload, message in named:
+        malformed.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "verify-cert", str(malformed))
+        assert code == 2 and err.startswith("error:") and message in err, (message, err)
+
 
 def test_verify_ideal_cert_file(tmp_path, capsys):
     # [2,-2,4] prints a cofactor A of about 990 terms, read back as one sum
@@ -156,6 +181,18 @@ def test_verify_ideal_cert_file(tmp_path, capsys):
         cert_file.write_text(text)
         code, _, err = run(capsys, "verify-ideal-cert", str(cert_file))
         assert code == 2 and err.startswith("error:"), text
+
+    named = [({key: value for key, value in good.items() if key != missing}, f"no {missing!r} field")
+             for missing in ("target", "A", "B")]
+    named += [
+        (dict(good, A=5), "A must be a string, not int"),
+        (dict(good, B=["z1"]), "B must be a string, not list"),
+        (dict(good, target=5), "target must be a list"),
+    ]
+    for payload, message in named:
+        cert_file.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "verify-ideal-cert", str(cert_file))
+        assert code == 2 and err.startswith("error:") and message in err, (message, err)
 
 
 def test_parse_error_exit_code(capsys):

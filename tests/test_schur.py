@@ -1,4 +1,5 @@
-"""Vandermonde quotients through Schur functions, against exact division."""
+"""Alternant (Schur) coefficients and their monomial expansion, against
+exact division by the Vandermonde."""
 
 import itertools
 import random
@@ -6,7 +7,7 @@ import random
 import pytest
 
 from intshuffle.poly import Q1, Q2, LaurentPoly, is_symmetric, z
-from intshuffle.schur import _kostka, divide_vandermonde
+from intshuffle.schur import _kostka, alternant, from_alternant, group_by_z, straighten
 from intshuffle.shuffle import _divide_vandermonde, _vandermonde, sym
 
 
@@ -36,13 +37,26 @@ def _random_symmetric(rng, n):
     return out
 
 
+def _decreasing_terms(p, n):
+    """The terms of p with strictly decreasing z-exponents, as alternant coefficients."""
+    return {
+        alpha: row
+        for alpha, row in group_by_z(p.terms, n).items()
+        if all(alpha[i] > alpha[i + 1] for i in range(n - 1))
+    }
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_divide_vandermonde_inverts_the_product(n):
+    # the alternant coefficients of f, expanded back, give the quotient of
+    # f * V by V: f itself, as binomial division by V finds it too
     rng = random.Random(40 + n)
     for _ in range(6):
         f = _random_symmetric(rng, n)
         numerator = f * _vandermonde(n)
-        quotient = divide_vandermonde(numerator, n)
+        coeffs = alternant(f, n)
+        assert coeffs == _decreasing_terms(numerator, n)
+        quotient = from_alternant(coeffs, n)
         assert quotient == f
         assert quotient == _divide_vandermonde(numerator, n)
         assert is_symmetric(quotient, n)
@@ -50,7 +64,7 @@ def test_divide_vandermonde_inverts_the_product(n):
 
 def test_divide_vandermonde_of_alternants_gives_schur_polynomials():
     # a_(4,1,0) / V_3 = s_(2,0,0) = h_2(z1, z2, z3)
-    alternant = LaurentPoly.zero()
+    alternant_410 = LaurentPoly.zero()
     for perm in itertools.permutations(range(3)):
         sign = 1
         for i, j in itertools.combinations(range(3), 2):
@@ -60,6 +74,24 @@ def test_divide_vandermonde_of_alternants_gives_schur_polynomials():
         term = LaurentPoly.constant(sign)
         for slot, p in enumerate(perm, 1):
             term = term * z(slot, exps[p])
-        alternant = alternant + term
+        alternant_410 = alternant_410 + term
     h2 = sum((z(i) * z(j) for i in range(1, 4) for j in range(i, 4)), LaurentPoly.zero())
-    assert divide_vandermonde(alternant, 3) == h2
+    assert _decreasing_terms(alternant_410, 3) == {(4, 1, 0): {(): 1}}
+    assert from_alternant({(4, 1, 0): {(): 1}}, 3) == h2
+    assert _divide_vandermonde(alternant_410, 3) == h2
+    assert alternant(h2, 3) == {(4, 1, 0): {(): 1}}
+
+
+@pytest.mark.parametrize(
+    "gamma, expected",
+    [
+        ((3, 1, 0), (1, (3, 1, 0))),
+        ((0, 1, 3), (-1, (3, 1, 0))),
+        ((1, 3, 0), (-1, (3, 1, 0))),
+        ((1, 0, 3), (1, (3, 1, 0))),
+        ((2, -1, 2), None),
+        ((-1, 4, 0, 2), (1, (4, 2, 0, -1))),
+    ],
+)
+def test_straighten(gamma, expected):
+    assert straighten(gamma) == expected

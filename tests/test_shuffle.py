@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intshuffle.poly import Q1, Q2, LaurentPoly, is_symmetric, substitute, z
 from intshuffle.shuffle import (
@@ -151,6 +153,31 @@ def test_coset_matches_full_sym():
     p = shuffle_word([1, 0])
     q = shuffle_word([0, 2])
     assert shuffle(p, q).poly == shuffle_full_sym(p, q).poly
+
+
+@st.composite
+def _scaled_word(draw, k):
+    """A word of arity k times a random symmetric scalar of V_k: a signed
+    q-monomial times a symmetrized z-monomial, negative exponents allowed."""
+    small = st.integers(min_value=-1, max_value=1)
+    word = shuffle_word([draw(small) for _ in range(k)])
+    powers = st.integers(min_value=-2, max_value=2)
+    mono = draw(st.sampled_from([-2, -1, 1, 3])) * Q1 ** draw(powers) * Q2 ** draw(powers)
+    for i in range(1, k + 1):
+        mono = mono * z(i, draw(small))
+    return word.scaled(sym(mono, k))
+
+
+@given(
+    st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]).flatmap(
+        lambda split: st.tuples(_scaled_word(split[0]), _scaled_word(split[1]))
+    )
+)
+# the reference sums (k+l)! products: an arity-4 example costs it 5-10 s
+@settings(max_examples=6, deadline=None)
+def test_shuffle_matches_full_sym_reference(operands):
+    left, right = operands
+    assert shuffle(left, right) == shuffle_full_sym(left, right)
 
 
 def test_shuffle_element_validation():
