@@ -181,8 +181,8 @@ def permute_slots(a: dict, src: tuple) -> dict:
 
 
 def trimmed(m: tuple) -> tuple:
-    """m without its trailing zeros; m is nonempty."""
-    if m[-1]:
+    """m without its trailing zeros."""
+    if not m or m[-1]:
         return m
     n = len(m) - 1
     while n and not m[n - 1]:

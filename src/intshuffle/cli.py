@@ -131,7 +131,7 @@ def _cmd_assoc(args) -> int:
     za, zb, zc = (one_variable(d) for d in (args.a, args.b, args.c))
     left = shuffle(shuffle(za, zb), zc)
     right = shuffle(za, shuffle(zb, zc))
-    holds = left.poly == right.poly
+    holds = left == right
     _emit(args, {"schema": 1, "holds": holds}, "true" if holds else "false")
     return 0 if holds else 1
 
@@ -158,7 +158,7 @@ def _cmd_props(args) -> int:
     for _ in range(args.trials):
         a, b, c = (rng.randint(-2, 2) for _ in range(3))
         za, zb, zc = one_variable(a), one_variable(b), one_variable(c)
-        ok = shuffle(shuffle(za, zb), zc).poly == shuffle(za, shuffle(zb, zc)).poly
+        ok = shuffle(shuffle(za, zb), zc) == shuffle(za, shuffle(zb, zc))
         checks.append((f"assoc z^{a} z^{b} z^{c}", ok))
 
         word = tuple(rng.randint(-1, 2) for _ in range(rng.randint(2, 3)))

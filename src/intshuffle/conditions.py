@@ -192,7 +192,7 @@ def verify_ideal_certificate(cert: IdealCertificate) -> bool:
     return cert.A * gens.g1 + cert.B * gens.g2 == cert.target_poly()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _cofactors(word: tuple[int, ...]) -> tuple[LaurentPoly, LaurentPoly]:
     k = len(word)
     if k == 2:

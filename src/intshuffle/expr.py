@@ -34,7 +34,7 @@ from typing import Union
 
 from .errors import ArityMismatch, ExprSyntaxError
 from .poly import LaurentPoly, Q1, Q2, is_symmetric, signed_sum, z
-from .shuffle import ShuffleElement, scalar, shuffle, shuffle_word
+from .shuffle import ShuffleElement, element_sum, one_variable, scalar, shuffle, shuffle_word
 
 Value = Union[LaurentPoly, ShuffleElement]
 
@@ -379,7 +379,7 @@ def evaluate(node: Node) -> Value:
             return Q2
         return z(int(node.name[1:]))
     if isinstance(node, ZElt):
-        return ShuffleElement(1, z(1, node.exponent) if node.exponent else LaurentPoly.constant(1))
+        return one_variable(node.exponent)
     if isinstance(node, WordLit):
         return shuffle_word(node.exponents)
     if isinstance(node, Sum):
@@ -388,7 +388,7 @@ def evaluate(node: Node) -> Value:
         first = values[0][1]
         if isinstance(first, LaurentPoly):
             return signed_sum(values)
-        return ShuffleElement(first.arity, signed_sum((s, v.poly) for s, v in values))
+        return element_sum(first.arity, values)
     if isinstance(node, Juxt):
         left = evaluate(node.left)
         right = evaluate(node.right)
@@ -442,7 +442,4 @@ def as_element(value: Value) -> ShuffleElement:
     """View a value as a shuffle element; scalars take their z-span as arity."""
     if isinstance(value, ShuffleElement):
         return value
-    arity = value.z_span()
-    if not is_symmetric(value, arity):
-        raise ValueError(f"polynomial is not symmetric in z1..z{arity}")
-    return ShuffleElement(arity, value)
+    return ShuffleElement(value.z_span(), value)

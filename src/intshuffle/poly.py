@@ -38,6 +38,7 @@ from ._terms_py import (
     permute_slots,
     scale_terms,
     sub_terms,
+    trimmed,
 )
 from .errors import NonInvertibleImage, NotDivisible
 
@@ -68,12 +69,6 @@ def _slot_name(slot: int) -> str:
     return f"z{slot - 1}"
 
 
-def _trim(exps: list) -> tuple:
-    while exps and exps[-1] == 0:
-        exps.pop()
-    return tuple(exps)
-
-
 def _norm_coeff(c: Coefficient) -> Coefficient:
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
@@ -94,7 +89,7 @@ class LaurentPoly:
                 )
                 if not coeff:
                     continue
-                key = _trim(list(mono))
+                key = trimmed(tuple(mono))
                 prev = clean.get(key)
                 if prev is None:
                     clean[key] = coeff
@@ -229,7 +224,7 @@ class LaurentPoly:
             raise ValueError("only a single-term monomial is invertible")
         (mono, coeff), = self.terms.items()
         return LaurentPoly._raw(
-            {_trim([-e for e in mono]): _norm_coeff(Fraction(1, 1) / coeff)}
+            {trimmed(tuple(-e for e in mono)): _norm_coeff(Fraction(1, 1) / coeff)}
         )
 
     # -- structure queries --------------------------------------------------
@@ -305,7 +300,7 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     if len(d.terms) == 1:
         (mono, coeff), = d.terms.items()
         inv = _norm_coeff(Fraction(1, 1) / coeff)
-        neg = _trim([-e for e in mono])
+        neg = trimmed(tuple(-e for e in mono))
         return LaurentPoly._raw(mul_monomial(p.terms, neg, inv))
     binomial = _binomial_slots(d.terms)
     if binomial is not None:
@@ -353,7 +348,7 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     back = [a - b for a, b in zip(sp, sd)]
     result = {}
     for mono, c in quotient.items():
-        result[_trim([e + s for e, s in zip(mono, back)])] = c
+        result[trimmed(tuple(e + s for e, s in zip(mono, back)))] = c
     return LaurentPoly._raw(result)
 
 
@@ -425,7 +420,7 @@ def substitute(p: LaurentPoly, images: Mapping[str, Scalar]) -> LaurentPoly:
             if e and slot in slot_images:
                 kept[slot] = 0
                 factors.append(image_power(slot, e))
-        term = LaurentPoly._raw({_trim(kept): coeff})
+        term = LaurentPoly._raw({trimmed(tuple(kept)): coeff})
         for f in factors:
             term = term * f
         add_into(total, term.terms)

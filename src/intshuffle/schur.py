@@ -14,14 +14,16 @@ where s_lambda is a Schur polynomial, m_mu the monomial symmetric
 polynomial of the partition mu and K(lambda, mu) the Kostka number: the
 count of semistandard tableaux of shape lambda and content mu.  Laurent
 exponents are handled by s_lambda = e_n^t s_{lambda - t}, which shifts
-lambda and mu by the same t.
+lambda and mu by the same t; for n = 0, f is the coefficient of a_().
 
 Alternant coefficients are kept as a dict alpha -> {q-part: c}, where the
-q-part is a trimmed exponent tuple over q1, q2.  `alternant` reads them off
-a symmetric polynomial by straightening: f a_delta = sum_beta f_beta
-a_{beta + delta} over the monomials beta of f, and a_gamma is 0 when gamma
-repeats an entry, else the permutation sign times a_{sorted gamma}.
-`from_alternant` expands them back into monomials.
+q-part is a trimmed exponent tuple over q1, q2 and no row is empty: the
+stored form of a shuffle element.  Multiplying by a symmetric f shifts and
+straightens: f a_alpha = sum_beta f_beta a_{alpha + beta} over the
+monomials beta of f, and a_gamma is 0 when gamma repeats an entry, else the
+permutation sign times a_{sorted gamma} (`alternant`).  With the factor
+V = a_delta this reads the coefficients of f off its monomials.
+`from_alternant` expands coefficients back into monomials.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import itertools
 from functools import lru_cache
 from operator import add
 
-from ._terms_py import add_into, trimmed
+from ._terms_py import add_into, mul_terms, trimmed
 from .poly import LaurentPoly
 
 
@@ -58,20 +60,35 @@ def group_by_z(terms: dict, n: int) -> dict:
     return out
 
 
-def alternant(f: LaurentPoly, n: int) -> dict:
-    """The alternant coefficients of f * V for f symmetric in z1..zn.
-
-    These are the terms of f * V whose z-exponents strictly decrease.
-    """
-    delta = tuple(range(n - 1, -1, -1))
+def straighten_sum(base: dict, shifts) -> dict:
+    """Alternant coefficients of sum c_alpha r a_{alpha + t}, over the
+    coefficients alpha -> c_alpha of `base` and the (z-exponents t, q-row r)
+    pairs of `shifts` (a collection: it is walked once per alpha), each
+    a_gamma straightened."""
     out: dict = {}
-    for zpart, row in group_by_z(f.terms, n).items():
-        got = straighten(tuple(map(add, zpart, delta)))
-        if got is None:
-            continue
-        sign, alpha = got
-        add_into(out.setdefault(alpha, {}), row, sign)
-    return {alpha: row for alpha, row in out.items() if row}
+    for alpha, c in base.items():
+        # the shifts landing on each gamma, summed before multiplying by c
+        by_gamma: dict = {}
+        for t, row in shifts:
+            got = straighten(tuple(map(add, alpha, t)))
+            if got is not None:
+                sign, gamma = got
+                add_into(by_gamma.setdefault(gamma, {}), row, sign)
+        for gamma, row in by_gamma.items():
+            add_into(out.setdefault(gamma, {}), mul_terms(c, row))
+    return {gamma: row for gamma, row in out.items() if row}
+
+
+def alternant(f: LaurentPoly, n: int, base: dict | None = None) -> dict:
+    """The alternant coefficients of f * A for f symmetric in z1..zn, where A
+    has the alternant coefficients `base`; by default A = V = a_delta.
+
+    The coefficients of f * V are the terms of f * V whose z-exponents
+    strictly decrease.
+    """
+    if base is None:
+        base = {tuple(range(n - 1, -1, -1)): {(): 1}}
+    return straighten_sum(base, group_by_z(f.terms, n).items())
 
 
 def from_alternant(coeffs: dict, n: int) -> LaurentPoly:
@@ -80,7 +97,7 @@ def from_alternant(coeffs: dict, n: int) -> LaurentPoly:
     # mu (shifted) -> {q-part: coefficient}
     by_content: dict = {}
     for alpha, row in coeffs.items():
-        t = alpha[-1]
+        t = alpha[-1] if alpha else 0
         shape = tuple(a - d - t for a, d in zip(alpha, delta))
         for content, k in _schur_row(shape):
             acc = by_content.setdefault(tuple(e + t for e in content), {})
@@ -108,7 +125,7 @@ def _schur_row(shape: tuple) -> tuple:
     """(mu, K(shape, mu)) for every partition mu of |shape| that shape dominates."""
     return tuple(
         (content, _kostka(shape, content))
-        for content in _dominated(shape, sum(shape), 0, shape[0])
+        for content in _dominated(shape, sum(shape), 0, max(shape, default=0))
     )
 
 

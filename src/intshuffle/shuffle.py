@@ -8,27 +8,26 @@ For P in k variables and Q in l variables,
 with the kernel omega(zi, zj) = (zi - q zj)(zj - q1 zi)(zj - q2 zi)/(zi - zj)
 and q = q1 q2.  Over the common denominator V = prod_{i<j}(z_i - z_j) the
 numerator (P * Q) V is antisymmetric, so it is fixed by its alternant
-(Schur) coefficients (`schur`).  With A = P V_k = sum c_mu a_mu and
-B = Q V_l = sum d_nu a_nu, and K the product of the kernel numerators
-over the cross pairs i <= k < j,
+(Schur) coefficients (`schur`), and a `ShuffleElement` stores only these.
+With P V_k = sum c_mu a_mu and Q V_l = sum d_nu a_nu, and K the product of
+the kernel numerators over the cross pairs i <= k < j (K = 1 when k = 0),
 
     (P * Q) V = sum c_mu d_nu sum_{t in K} coeff_t a_{(mu || nu) + t},
 
 because the symmetrization of a_mu(z_1..z_k) a_nu(z_{k+1}..z_{k+l}) K is
 k!.l! times that of z^(mu || nu) K; the 1/(k!.l!) cancels exactly.  Each
 a_gamma is straightened to 0 or a signed a_alpha with alpha strictly
-decreasing, and the symmetric result is expanded into monomials once,
-through Kostka numbers.  No numerator is multiplied out and nothing is
-divided, so all arithmetic stays exact.
+decreasing.  Sums, scaling and equality act on the coefficients too, and
+monomials are built only where they are read.  No numerator is multiplied
+out and nothing is divided, so all arithmetic stays exact.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import add
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from ._terms_py import add_into, mul_terms
@@ -44,54 +43,64 @@ from .poly import (
     signed_sum,
     z,
 )
-from .schur import alternant, from_alternant, group_by_z, straighten
+from .schur import alternant, from_alternant, group_by_z, straighten_sum
 
 
-@dataclass(frozen=True)
 class ShuffleElement:
-    """A symmetric Laurent polynomial together with its arity k (an element of V_k)."""
+    """An element of V_k: a symmetric Laurent polynomial f in z1..zk.
 
-    arity: int
-    poly: LaurentPoly
+    It is stored as `arity` and `coeffs`, the alternant coefficients of
+    f V_k (see `schur`); `poly`, the monomials of f, is built on first read.
+    Treat it as immutable: `coeffs` may be shared with the word cache.
+    """
 
-    def __post_init__(self):
-        if self.arity < 0:
+    __slots__ = ("arity", "coeffs", "_poly")
+
+    def __init__(self, arity: int, poly: LaurentPoly):
+        if arity < 0:
             raise ValueError("arity must be nonnegative")
-        if self.poly.z_span() > self.arity:
-            raise ValueError(
-                f"polynomial uses z{self.poly.z_span()} but arity is {self.arity}"
-            )
-        if not is_symmetric(self.poly, self.arity):
-            raise ValueError("shuffle elements must be symmetric in z1..zk")
+        if not is_symmetric(poly, arity):
+            raise ValueError(f"polynomial is not symmetric in z1..z{arity}")
+        self.arity, self.coeffs, self._poly = arity, alternant(poly, arity), poly
 
     @classmethod
-    def _symmetric(cls, arity: int, poly: LaurentPoly) -> "ShuffleElement":
-        """Wrap a polynomial that is symmetric by construction, unchecked."""
+    def _of(cls, arity: int, coeffs: dict) -> "ShuffleElement":
+        """The element with alternant coefficients `coeffs`, symmetric by form."""
         self = object.__new__(cls)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "poly", poly)
+        self.arity, self.coeffs, self._poly = arity, coeffs, None
         return self
+
+    @property
+    def poly(self) -> LaurentPoly:
+        if self._poly is None:
+            self._poly = from_alternant(self.coeffs, self.arity)
+        return self._poly
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ShuffleElement):
+            return NotImplemented
+        return self.arity == other.arity and self.coeffs == other.coeffs
 
     def __add__(self, other: "ShuffleElement") -> "ShuffleElement":
         if not isinstance(other, ShuffleElement):
             return NotImplemented
-        if other.arity != self.arity:
-            raise ValueError("cannot add shuffle elements of different arities")
-        return ShuffleElement(self.arity, self.poly + other.poly)
+        return element_sum(self.arity, ((1, self), (1, other)))
 
     def __sub__(self, other: "ShuffleElement") -> "ShuffleElement":
         if not isinstance(other, ShuffleElement):
             return NotImplemented
-        if other.arity != self.arity:
-            raise ValueError("cannot subtract shuffle elements of different arities")
-        return ShuffleElement(self.arity, self.poly - other.poly)
+        return element_sum(self.arity, ((1, self), (-1, other)))
 
     def __neg__(self) -> "ShuffleElement":
-        return ShuffleElement(self.arity, -self.poly)
+        return self.scaled(-1)
 
     def scaled(self, c) -> "ShuffleElement":
         """Multiply by a scalar of V_k (rational, q-only, or symmetric in z1..zk)."""
-        return ShuffleElement(self.arity, self.poly * c)
+        if not isinstance(c, LaurentPoly):
+            c = LaurentPoly.constant(c)
+        if not is_symmetric(c, self.arity):
+            raise ValueError(f"scalar factor must be symmetric in z1..z{self.arity}")
+        return ShuffleElement._of(self.arity, alternant(c, self.arity, self.coeffs))
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction, LaurentPoly)):
@@ -100,8 +109,22 @@ class ShuffleElement:
 
     __rmul__ = __mul__
 
+    def __repr__(self) -> str:
+        return f"ShuffleElement(arity={self.arity}, poly={self.poly!r})"
+
     def __str__(self) -> str:
         return str(self.poly)
+
+
+def element_sum(arity: int, terms: Iterable[tuple[int, ShuffleElement]]) -> ShuffleElement:
+    """Sum of sign*e over (sign, e) pairs of arity-`arity` elements, sign 1 or -1."""
+    out: dict = {}
+    for sign, element in terms:
+        if element.arity != arity:
+            raise ValueError(f"cannot add shuffle elements of arities {arity} and {element.arity}")
+        for alpha, row in element.coeffs.items():
+            add_into(out.setdefault(alpha, {}), row, sign)
+    return ShuffleElement._of(arity, {alpha: row for alpha, row in out.items() if row})
 
 
 @lru_cache(maxsize=None)
@@ -161,36 +184,18 @@ def _alternant_product(left: dict, right: dict, k: int, l: int) -> dict:
     and Q V_l (`right`): the sum of c_mu d_nu coeff_t a_{(mu || nu) + t} over
     the terms t of the cross kernel, each a_gamma straightened.
     """
-    kernel = _cross_kernel(k, l)
-    out: dict = {}
-    for mu, c_mu in left.items():
-        for nu, d_nu in right.items():
-            pair = mu + nu
-            # the kernel terms landing on each alpha, summed before multiplying
-            by_alpha: dict = {}
-            for t, coeff in kernel:
-                got = straighten(tuple(map(add, pair, t)))
-                if got is not None:
-                    sign, alpha = got
-                    add_into(by_alpha.setdefault(alpha, {}), coeff, sign)
-            c = mul_terms(c_mu, d_nu)
-            for alpha, coeff in by_alpha.items():
-                add_into(out.setdefault(alpha, {}), mul_terms(c, coeff))
-    return {alpha: row for alpha, row in out.items() if row}
+    pairs = {mu + nu: mul_terms(c, d) for mu, c in left.items() for nu, d in right.items()}
+    return straighten_sum(pairs, _cross_kernel(k, l))
 
 
 def shuffle(left: ShuffleElement, right: ShuffleElement) -> ShuffleElement:
     """The shuffle product; arity adds, and the result is again symmetric.
 
     The alternant coefficients of the product come from those of the
-    operands by straightening (`_alternant_product`), and the product is
-    expanded into monomials once, at the end.
+    operands by straightening (`_alternant_product`); no monomial is built.
     """
     k, l = left.arity, right.arity
-    if k == 0 or l == 0:
-        return ShuffleElement(k + l, left.poly * right.poly)
-    coeffs = _alternant_product(alternant(left.poly, k), alternant(right.poly, l), k, l)
-    return ShuffleElement._symmetric(k + l, from_alternant(coeffs, k + l))
+    return ShuffleElement._of(k + l, _alternant_product(left.coeffs, right.coeffs, k, l))
 
 
 def shuffle_full_sym(left: ShuffleElement, right: ShuffleElement) -> ShuffleElement:
@@ -200,8 +205,6 @@ def shuffle_full_sym(left: ShuffleElement, right: ShuffleElement) -> ShuffleElem
     slower than `shuffle`; kept as an independent cross-check.
     """
     k, l = left.arity, right.arity
-    if k == 0 or l == 0:
-        return shuffle(left, right)
     n = k + l
     numerator = LaurentPoly.zero()
     vandermonde = _vandermonde(n)
@@ -215,45 +218,28 @@ def shuffle_full_sym(left: ShuffleElement, right: ShuffleElement) -> ShuffleElem
                 correction = exact_div(correction, _binomial(a, b))
                 term = term * omega_numerator(a, b)
         numerator = numerator + term * correction
-    scale = Fraction(1, _factorial(k) * _factorial(l))
+    scale = Fraction(1, math.factorial(k) * math.factorial(l))
     return ShuffleElement(n, _divide_vandermonde(numerator, n) * scale)
-
-
-def _factorial(n: int) -> int:
-    return reduce(lambda a, b: a * b, range(1, n + 1), 1)
 
 
 def one_variable(exponent: int) -> ShuffleElement:
     """The arity-1 element z1^d."""
-    return ShuffleElement(1, z(1, exponent) if exponent else ONE)
+    return shuffle_word((exponent,))
 
 
 def scalar(value) -> ShuffleElement:
     """An arity-0 element (a coefficient of the base ring)."""
-    p = value if isinstance(value, LaurentPoly) else LaurentPoly.constant(value)
-    return ShuffleElement(0, p)
+    return shuffle_word(()).scaled(value)
 
 
-def _fold_word(exponents: tuple[int, ...]) -> dict:
-    """Alternant coefficients of a nonempty word, folded letter by letter.
-
-    Prefixes come from the bounded cache `_prefix_alternant`.
-    """
-    if len(exponents) == 1:
+@lru_cache(maxsize=256)
+def _word_alternant(exponents: tuple[int, ...]) -> dict:
+    """Alternant coefficients of a word, folded letter by letter; the
+    prefixes come from this cache too."""
+    if len(exponents) <= 1:
         return {exponents: {(): 1}}
-    head = _prefix_alternant(exponents[:-1])
+    head = _word_alternant(exponents[:-1])
     return _alternant_product(head, {exponents[-1:]: {(): 1}}, len(exponents) - 1, 1)
-
-
-_prefix_alternant = lru_cache(maxsize=256)(_fold_word)
-
-
-@lru_cache(maxsize=None)
-def _shuffle_word_cached(exponents: tuple[int, ...]) -> ShuffleElement:
-    if not exponents:
-        return scalar(1)
-    n = len(exponents)
-    return ShuffleElement._symmetric(n, from_alternant(_fold_word(exponents), n))
 
 
 def shuffle_word(word: Sequence[int] | Iterable[int]) -> ShuffleElement:
@@ -262,4 +248,5 @@ def shuffle_word(word: Sequence[int] | Iterable[int]) -> ShuffleElement:
     The empty word gives the arity-0 scalar 1.  Association order does not
     matter: the product is associative.
     """
-    return _shuffle_word_cached(tuple(word))
+    exponents = tuple(word)
+    return ShuffleElement._of(len(exponents), _word_alternant(exponents))

@@ -83,6 +83,8 @@ def test_lemma(capsys):
     assert (code, out) == (0, "true\n")
     code, out, _ = run(capsys, "lemma", "b", "[1,0,2]", "-1")
     assert code == 0
+    code, out, _ = run(capsys, "lemma", "b", "[0,0,0,0,0]", "1")
+    assert (code, out) == (0, "true\n")
 
 
 def test_reduce2(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -20,6 +21,7 @@ from intshuffle.generators import (
     verify_certificate,
     verify_lemma,
 )
+from intshuffle.cli import main
 from intshuffle.poly import LaurentPoly, z
 from intshuffle.shuffle import shuffle_word
 
@@ -60,6 +62,21 @@ def test_verify_lemma_examples():
     assert verify_lemma([1, -1], 2, "a")
     with pytest.raises(ValueError):
         verify_lemma([0, 0], 1, "c")
+
+
+def test_checks_never_expand_to_monomials(monkeypatch, capsys):
+    # the module actions, certificates and associativity are compared on
+    # stored alternant coefficients, so no monomial view is ever built
+    def refuse(coeffs, n):
+        raise AssertionError("expanded to monomials")
+
+    monkeypatch.setattr(sys.modules["intshuffle.shuffle"], "from_alternant", refuse)
+    assert verify_lemma([1, 0, -1, 2], 1, "b")
+    assert verify_lemma([2, 0, 1], -2, "a")
+    assert verify_certificate(reduce3([3, -1, 2]))
+    assert verify_certificate(reduce2([-1, 3]))
+    assert main(["assoc", "1", "0", "-1"]) == 0
+    assert capsys.readouterr().out == "true\n"
 
 
 def test_bases():

@@ -46,7 +46,7 @@ def _decreasing_terms(p, n):
     }
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_divide_vandermonde_inverts_the_product(n):
     # the alternant coefficients of f, expanded back, give the quotient of
     # f * V by V: f itself, as binomial division by V finds it too

@@ -156,16 +156,23 @@ def test_coset_matches_full_sym():
 
 
 @st.composite
-def _scaled_word(draw, k):
-    """A word of arity k times a random symmetric scalar of V_k: a signed
-    q-monomial times a symmetrized z-monomial, negative exponents allowed."""
+def _symmetric_scalar(draw, k):
+    """A random symmetric scalar of V_k: a signed q-monomial times a
+    symmetrized z-monomial, negative exponents allowed."""
     small = st.integers(min_value=-1, max_value=1)
-    word = shuffle_word([draw(small) for _ in range(k)])
     powers = st.integers(min_value=-2, max_value=2)
     mono = draw(st.sampled_from([-2, -1, 1, 3])) * Q1 ** draw(powers) * Q2 ** draw(powers)
     for i in range(1, k + 1):
         mono = mono * z(i, draw(small))
-    return word.scaled(sym(mono, k))
+    return sym(mono, k)
+
+
+@st.composite
+def _scaled_word(draw, k):
+    """A word of arity k (letters in [-1, 1]) times a random symmetric scalar."""
+    small = st.integers(min_value=-1, max_value=1)
+    word = shuffle_word([draw(small) for _ in range(k)])
+    return word.scaled(draw(_symmetric_scalar(k)))
 
 
 @given(
@@ -177,7 +184,33 @@ def _scaled_word(draw, k):
 @settings(max_examples=6, deadline=None)
 def test_shuffle_matches_full_sym_reference(operands):
     left, right = operands
-    assert shuffle(left, right) == shuffle_full_sym(left, right)
+    assert shuffle(left, right).poly == shuffle_full_sym(left, right).poly
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_element_operations_match_monomials(data):
+    # every operation on stored alternant coefficients, read back as
+    # monomials, equals the same operation on the monomials of its operands
+    k = data.draw(st.integers(min_value=0, max_value=4), label="arity")
+    a = data.draw(_scaled_word(k), label="a")
+    b = data.draw(st.one_of(st.just(a), _scaled_word(k)), label="b")
+    f = data.draw(_symmetric_scalar(k), label="f")
+    assert (a + b).poly == a.poly + b.poly
+    assert (a - b).poly == a.poly - b.poly
+    assert (-a).poly == -a.poly
+    assert a.scaled(f).poly == a.poly * f
+    assert (a == b) == (a.poly == b.poly)
+    assert a == ShuffleElement(k, a.poly)
+    # arity 0: the scalar times the element, on either side
+    c = data.draw(_scaled_word(0), label="c")
+    assert shuffle(c, a).poly == c.poly * a.poly == shuffle(a, c).poly
+    assert shuffle(scalar(Q1 - 2), a).poly == (Q1 - 2) * a.poly
+    l = data.draw(st.integers(min_value=0, max_value=max(0, 3 - k)), label="l")
+    e = data.draw(_scaled_word(l), label="e")
+    if k + l <= 3:
+        assert shuffle(a, e).poly == shuffle_full_sym(a, e).poly
+        assert shuffle(e, a).poly == shuffle_full_sym(e, a).poly
 
 
 def test_shuffle_element_validation():
