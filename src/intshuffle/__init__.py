@@ -25,6 +25,7 @@ from .errors import (
     IdentityViolated,
     NonInvertibleImage,
     NotDivisible,
+    NotSymmetric,
 )
 from .expr import as_element, eval_text, parse, parse_poly
 from .generators import (
@@ -79,6 +80,7 @@ __all__ = [
     "ModuleCertificate",
     "NonInvertibleImage",
     "NotDivisible",
+    "NotSymmetric",
     "Q1",
     "Q2",
     "ShuffleElement",

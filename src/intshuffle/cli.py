@@ -8,6 +8,7 @@ versioned JSON schema; `--seed` feeds the randomized `props` command.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -19,7 +20,6 @@ from .conditions import (
     verify_ideal_certificate,
     wheel_check,
 )
-from .errors import ArityMismatch, ArityTooSmall, ExprSyntaxError
 from .expr import as_element, eval_text
 from .generators import (
     ModuleCertificate,
@@ -66,11 +66,13 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _cmd_wheel(args) -> int:
-    element = as_element(eval_text(args.expr))
-    holds = wheel_check(element)
+def _verdict(args, holds: bool) -> int:
     _emit(args, {"schema": 1, "holds": holds}, "true" if holds else "false")
     return 0 if holds else 1
+
+
+def _cmd_wheel(args) -> int:
+    return _verdict(args, wheel_check(as_element(eval_text(args.expr))))
 
 
 def _cmd_corollary(args) -> int:
@@ -82,46 +84,20 @@ def _cmd_corollary(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
-    word = _parse_word_arg(args.word)
-    holds = verify_lemma(word, args.n, args.relation)
-    _emit(args, {"schema": 1, "holds": holds}, "true" if holds else "false")
-    return 0 if holds else 1
+    return _verdict(args, verify_lemma(_parse_word_arg(args.word), args.n, args.relation))
 
 
-def _module_cert_text(cert: ModuleCertificate) -> str:
-    lines = [f"target: {cert.target}"]
-    for cofactor, word in cert.sorted().combination:
-        lines.append(f"  ({render(cofactor)}) * {word}")
-    return "\n".join(lines)
-
-
-def _cmd_reduce(args, reducer) -> int:
-    cert = reducer(_parse_word_arg(args.word)).sorted()
-    verified = verify_certificate(cert) if args.verify else None
+def _cmd_certificate(args, build, verify) -> int:
+    """reduce2, reduce3 and ideal-cert: print a certificate, checked on --verify."""
+    cert = build(_parse_word_arg(args.word))
+    verified = verify(cert) if args.verify else None
     if args.json:
         payload = json.loads(cert.to_json())
         if verified is not None:
             payload["verified"] = verified
         print(json.dumps(payload, indent=2))
     else:
-        print(_module_cert_text(cert))
-        if verified is not None:
-            print(f"verified: {'true' if verified else 'false'}")
-    return 1 if verified is False else 0
-
-
-def _cmd_ideal_cert(args) -> int:
-    cert = ideal_certificate(_parse_word_arg(args.word))
-    verified = verify_ideal_certificate(cert) if args.verify else None
-    if args.json:
-        payload = json.loads(cert.to_json())
-        if verified is not None:
-            payload["verified"] = verified
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"target: {cert.target}")
-        print(f"A: {render(cert.A)}")
-        print(f"B: {render(cert.B)}")
+        print(cert)
         if verified is not None:
             print(f"verified: {'true' if verified else 'false'}")
     return 1 if verified is False else 0
@@ -129,27 +105,14 @@ def _cmd_ideal_cert(args) -> int:
 
 def _cmd_assoc(args) -> int:
     za, zb, zc = (one_variable(d) for d in (args.a, args.b, args.c))
-    left = shuffle(shuffle(za, zb), zc)
-    right = shuffle(za, shuffle(zb, zc))
-    holds = left == right
-    _emit(args, {"schema": 1, "holds": holds}, "true" if holds else "false")
-    return 0 if holds else 1
+    return _verdict(args, shuffle(shuffle(za, zb), zc) == shuffle(za, shuffle(zb, zc)))
 
 
-def _cmd_verify_cert(args) -> int:
+def _cmd_verify_file(args, certificate_class, verify) -> int:
+    """verify-cert and verify-ideal-cert: the verdict on a certificate file."""
     with open(args.file, "r", encoding="utf-8") as handle:
-        cert = ModuleCertificate.from_json(handle.read())
-    holds = verify_certificate(cert)
-    _emit(args, {"schema": 1, "holds": holds}, "true" if holds else "false")
-    return 0 if holds else 1
-
-
-def _cmd_verify_ideal_cert(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        cert = IdealCertificate.from_json(handle.read())
-    holds = verify_ideal_certificate(cert)
-    _emit(args, {"schema": 1, "holds": holds}, "true" if holds else "false")
-    return 0 if holds else 1
+        text = handle.read()
+    return _verdict(args, verify(certificate_class.from_json(text)))
 
 
 def _cmd_props(args) -> int:
@@ -224,23 +187,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(func=_cmd_lemma)
 
-    p = sub.add_parser("reduce2", parents=[common],
-                       help="certificate over the arity-2 basis")
-    p.add_argument("word")
-    p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=lambda args: _cmd_reduce(args, reduce2))
-
-    p = sub.add_parser("reduce3", parents=[common],
-                       help="certificate over the arity-3 basis")
-    p.add_argument("word")
-    p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=lambda args: _cmd_reduce(args, reduce3))
-
-    p = sub.add_parser("ideal-cert", parents=[common],
-                       help="cofactors over the two-generator ideal")
-    p.add_argument("word")
-    p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=_cmd_ideal_cert)
+    for name, help_text, build, verify in (
+        ("reduce2", "certificate over the arity-2 basis", reduce2, verify_certificate),
+        ("reduce3", "certificate over the arity-3 basis", reduce3, verify_certificate),
+        ("ideal-cert", "cofactors over the two-generator ideal", ideal_certificate,
+         verify_ideal_certificate),
+    ):
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("word")
+        p.add_argument("--verify", action="store_true")
+        p.set_defaults(func=functools.partial(_cmd_certificate, build=build, verify=verify))
 
     p = sub.add_parser("assoc", parents=[common],
                        help="check (z^a * z^b) * z^c == z^a * (z^b * z^c)")
@@ -249,15 +205,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("c", type=int)
     p.set_defaults(func=_cmd_assoc)
 
-    p = sub.add_parser("verify-cert", parents=[common],
-                       help="check a module certificate JSON file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_verify_cert)
-
-    p = sub.add_parser("verify-ideal-cert", parents=[common],
-                       help="check an ideal certificate JSON file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_verify_ideal_cert)
+    for name, help_text, certificate_class, verify in (
+        ("verify-cert", "check a module certificate JSON file", ModuleCertificate,
+         verify_certificate),
+        ("verify-ideal-cert", "check an ideal certificate JSON file", IdealCertificate,
+         verify_ideal_certificate),
+    ):
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("file")
+        p.set_defaults(func=functools.partial(_cmd_verify_file, certificate_class=certificate_class,
+                                              verify=verify))
 
     p = sub.add_parser("props", parents=[common],
                        help="run randomized property checks")
@@ -275,14 +232,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ExprSyntaxError, ArityMismatch, ArityTooSmall) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, OSError, KeyError, TypeError) as exc:
+        # ValueError covers ExprSyntaxError, ArityMismatch, ArityTooSmall and
+        # json.JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        print("error: input is nested too deeply", file=sys.stderr)
+        # deeply nested input, or a reduction whose letters spread too far
+        print("error: the computation recursed too deeply", file=sys.stderr)
         return 2
 
 

@@ -161,6 +161,9 @@ class IdealCertificate:
             return shuffle_word(self.target.exponents).poly
         return self.target.poly
 
+    def __str__(self) -> str:
+        return f"target: {self.target}\nA: {render(self.A)}\nB: {render(self.B)}"
+
     def to_json(self) -> str:
         if isinstance(self.target, GeneratorWord):
             target = list(self.target.exponents)

@@ -9,6 +9,10 @@ class NonInvertibleImage(ValueError):
     """A variable with a negative exponent was substituted by a non-monomial."""
 
 
+class NotSymmetric(ValueError):
+    """A polynomial that must be symmetric in z1..zk is not."""
+
+
 class ArityTooSmall(ValueError):
     """An operation was applied to an element of insufficient arity."""
 

@@ -13,6 +13,10 @@ Grammar (whitespace between tokens is ignored):
     name     := 'q1' | 'q2' | 'q' | 'z' | 'z' INT
     exponent := ['-'] INT | '(' ['-'] INT ')'
 
+INT is a run of ASCII digits and names are ASCII.  A character that is not
+one of these, whitespace or one of `+-*/^()[],` is a syntax error at its
+position.
+
 `sh[d1,...,dk]` is the expansion of z1^{d1} * ... * z1^{dk}; `z^d` (bare `z`)
 is the one-variable element z1^d; `q1`, `q2` and indexed `z1, z2, ...` are
 scalar variables, and `q` is input sugar for q1 q2 (never printed).  The
@@ -28,12 +32,13 @@ character position.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ArityMismatch, ExprSyntaxError
-from .poly import LaurentPoly, Q1, Q2, is_symmetric, signed_sum, z
+from .errors import ArityMismatch, ExprSyntaxError, NotSymmetric
+from .poly import LaurentPoly, Q1, Q2, signed_sum, z
 from .shuffle import ShuffleElement, element_sum, one_variable, scalar, shuffle, shuffle_word
 
 Value = Union[LaurentPoly, ShuffleElement]
@@ -97,52 +102,30 @@ class Pow(Node):
 
 # -- tokenizer -----------------------------------------------------------------
 
+# ASCII digits and letters only: str.isdigit would also accept superscript
+# and Arabic-Indic digits, which int() then rejects or reads as ASCII ones.
+_TOKEN = re.compile(
+    r"(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<SYM>[-+*/^()\[\],])"
+    r"|(?P<SPACE>\s+)|(?P<BAD>.)",
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # INT, NAME, SYM, END
-    text: str
-    pos: int
-
-
-_SYMBOLS = set("+-*/^()[],")
+_Token = tuple[str, str, int]  # (INT | NAME | SYM | END, text, position)
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], i))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token("SYM", ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(i, f"unexpected character {ch!r}")
-    tokens.append(_Token("END", "", n))
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "BAD":
+            raise ExprSyntaxError(match.start(), f"unexpected character {match.group()!r}")
+        if kind != "SPACE":
+            tokens.append((kind, match.group(), match.start()))
+    tokens.append(("END", "", len(text)))
     return tokens
 
 
 # -- parser --------------------------------------------------------------------
-
-_ATOM_START = {"INT", "NAME"}
 
 
 class _Parser:
@@ -158,27 +141,25 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_sym(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "SYM" or tok.text != text:
-            raise ExprSyntaxError(tok.pos, f"expected {text!r}")
-        return self.advance()
-
     def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "SYM" and tok.text == text
+        return self.tokens[self.i][:2] == ("SYM", text)
+
+    def expect_sym(self, text: str) -> _Token:
+        if not self.at_sym(text):
+            raise ExprSyntaxError(self.peek()[2], f"expected {text!r}")
+        return self.advance()
 
     # expr := ['-'] term (('+'|'-') term)*
     def parse_expr(self) -> Node:
         terms = []
         sign = 1
-        tok = self.peek()
+        pos = self.peek()[2]
         if self.at_sym("-"):
             self.advance()
             sign = -1
         while True:
-            terms.append((sign, tok.pos, self.parse_term()))
-            tok = self.peek()
+            terms.append((sign, pos, self.parse_term()))
+            pos = self.peek()[2]
             if self.at_sym("+"):
                 sign = 1
             elif self.at_sym("-"):
@@ -195,17 +176,17 @@ class _Parser:
     def parse_term(self) -> Node:
         node = self.parse_juxt()
         while self.at_sym("*"):
-            tok = self.advance()
-            node = Shuf(tok.pos, node, self.parse_juxt())
+            pos = self.advance()[2]
+            node = Shuf(pos, node, self.parse_juxt())
         return node
 
     # juxt := power power*
     def parse_juxt(self) -> Node:
         node = self.parse_power()
         while True:
-            tok = self.peek()
-            if tok.kind in _ATOM_START or (tok.kind == "SYM" and tok.text == "("):
-                node = Juxt(tok.pos, node, self.parse_power())
+            kind, _, pos = self.peek()
+            if kind in ("INT", "NAME") or self.at_sym("("):
+                node = Juxt(pos, node, self.parse_power())
             else:
                 return node
 
@@ -213,11 +194,11 @@ class _Parser:
     def parse_power(self) -> Node:
         node = self.parse_atom()
         if self.at_sym("^"):
-            tok = self.advance()
+            pos = self.advance()[2]
             exponent = self.parse_exponent()
             if isinstance(node, ZElt):
                 return ZElt(node.pos, exponent)
-            return Pow(tok.pos, node, exponent)
+            return Pow(pos, node, exponent)
         return node
 
     def parse_exponent(self) -> int:
@@ -228,50 +209,48 @@ class _Parser:
             return value
         return self.parse_signed_int()
 
+    def parse_int(self, what: str) -> int:
+        kind, text, pos = self.advance()
+        if kind != "INT":
+            raise ExprSyntaxError(pos, f"expected {what}")
+        return int(text)
+
     def parse_signed_int(self) -> int:
         sign = 1
         if self.at_sym("-"):
             self.advance()
             sign = -1
-        tok = self.peek()
-        if tok.kind != "INT":
-            raise ExprSyntaxError(tok.pos, "expected an integer")
-        self.advance()
-        return sign * int(tok.text)
+        return sign * self.parse_int("an integer")
 
     def parse_atom(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            value = Fraction(int(tok.text))
+        kind, name, pos = self.peek()
+        if kind == "INT":
+            value = Fraction(self.parse_int("an integer"))
             if self.at_sym("/"):
                 self.advance()
-                den = self.peek()
-                if den.kind != "INT":
-                    raise ExprSyntaxError(den.pos, "expected an integer denominator")
-                self.advance()
-                if int(den.text) == 0:
-                    raise ExprSyntaxError(den.pos, "zero denominator")
-                value = value / int(den.text)
-            return Num(tok.pos, value)
-        if tok.kind == "NAME":
+                den_pos = self.peek()[2]
+                den = self.parse_int("an integer denominator")
+                if den == 0:
+                    raise ExprSyntaxError(den_pos, "zero denominator")
+                value = value / den
+            return Num(pos, value)
+        if kind == "NAME":
             self.advance()
-            name = tok.text
             if name == "sh":
-                return self.parse_word(tok.pos)
+                return self.parse_word(pos)
             if name == "z":
-                return ZElt(tok.pos, 1)
+                return ZElt(pos, 1)
             if name in ("q", "q1", "q2") or (
                 name.startswith("z") and name[1:].isdigit() and int(name[1:]) >= 1
             ):
-                return Var(tok.pos, name)
-            raise ExprSyntaxError(tok.pos, f"unknown name {name!r}")
+                return Var(pos, name)
+            raise ExprSyntaxError(pos, f"unknown name {name!r}")
         if self.at_sym("("):
             self.advance()
             node = self.parse_expr()
             self.expect_sym(")")
             return node
-        raise ExprSyntaxError(tok.pos, "expected a value")
+        raise ExprSyntaxError(pos, "expected a value")
 
     def parse_word(self, pos: int) -> Node:
         self.expect_sym("[")
@@ -356,9 +335,9 @@ def parse(text: str) -> Node:
     """Parse and type-check; raises ExprSyntaxError / ArityMismatch."""
     parser = _Parser(text)
     node = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "END":
-        raise ExprSyntaxError(tail.pos, f"unexpected {tail.text!r}")
+    kind, text, pos = parser.peek()
+    if kind != "END":
+        raise ExprSyntaxError(pos, f"unexpected {text!r}")
     infer(node)
     return node
 
@@ -397,13 +376,10 @@ def evaluate(node: Node) -> Value:
         poly, element = (
             (left, right) if isinstance(left, LaurentPoly) else (right, left)
         )
-        assert isinstance(element, ShuffleElement)
-        if not is_symmetric(poly, element.arity):
-            raise ArityMismatch(
-                node.pos,
-                f"scalar factor must be symmetric in z1..z{element.arity}",
-            )
-        return element.scaled(poly)
+        try:
+            return element.scaled(poly)
+        except NotSymmetric as exc:
+            raise ArityMismatch(node.pos, str(exc)) from None
     if isinstance(node, Shuf):
         left = evaluate(node.left)
         right = evaluate(node.right)
@@ -430,11 +406,9 @@ def eval_text(text: str) -> Value:
 def parse_poly(text: str) -> LaurentPoly:
     """Parse a scalar expression (used for certificate cofactors)."""
     node = parse(text)
-    kind, _ = infer(node)
-    if kind != SCALAR:
-        raise ArityMismatch(node.pos, "expected a scalar expression")
     value = evaluate(node)
-    assert isinstance(value, LaurentPoly)
+    if not isinstance(value, LaurentPoly):
+        raise ArityMismatch(node.pos, "expected a scalar expression")
     return value
 
 

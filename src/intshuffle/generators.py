@@ -13,11 +13,14 @@ explicit combination of the finite generating sets
   arity 3:  [d1,d2,0] with 0 <= d1 <= 2, 0 <= d2 <= 1
 
 with symmetric-polynomial cofactors, returning a ModuleCertificate that
-`verify_certificate` checks exactly.  The reduction normalizes the
-minimum exponent to 0 with action (a), applies a fixed table of base-case
-identities inside [0,2]^3 (including the variants obtained by swapping the
-last two letters), and recurses with two action-(b) rewrites for larger
-exponents, memoized per word.
+`verify_certificate` checks exactly.  Both go through one memoized
+rewrite, `_reduce`: it shifts a word to minimum exponent 0 with action (a),
+stops at basis words, and otherwise applies the one rewrite rule of the
+word's arity.  Arity 2 has two action-(b) rewrites; arity 3 has a table of
+base-case identities inside [0,2]^3 (including the variants obtained by
+swapping the last two letters) and two action-(b) rewrites for larger
+exponents.  A rewrite is a sum of scalar * word terms and the reduction
+recurses into each word, so its depth grows with the spread of the letters.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .errors import ArityTooSmall
-from .poly import ONE, LaurentPoly, is_symmetric, render, z
+from .errors import ArityTooSmall, NotSymmetric
+from .poly import ONE, LaurentPoly, render, z
 from .shuffle import ShuffleElement, element_sum, shuffle_word
 
 WordLike = Sequence[int]
@@ -148,25 +151,28 @@ def _json_poly(raw, field: str) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class ModuleCertificate:
-    """Asserts expand(target) == sum of cofactor * expand(word) pairs."""
+    """Asserts expand(target) == sum of cofactor * expand(word) pairs, which
+    are kept sorted by word."""
 
     target: GeneratorWord
     combination: tuple[tuple[LaurentPoly, GeneratorWord], ...]
 
-    def sorted(self) -> "ModuleCertificate":
-        ordered = tuple(
-            sorted(self.combination, key=lambda pair: pair[1].exponents)
-        )
-        return ModuleCertificate(self.target, ordered)
+    def __post_init__(self):
+        ordered = tuple(sorted(self.combination, key=lambda pair: pair[1].exponents))
+        object.__setattr__(self, "combination", ordered)
+
+    def __str__(self) -> str:
+        lines = [f"target: {self.target}"]
+        lines += [f"  ({render(cofactor)}) * {word}" for cofactor, word in self.combination]
+        return "\n".join(lines)
 
     def to_json(self) -> str:
-        cert = self.sorted()
         payload = {
             "schema": 1,
-            "target": list(cert.target.exponents),
+            "target": list(self.target.exponents),
             "combination": [
                 [render(cofactor), list(word.exponents)]
-                for cofactor, word in cert.combination
+                for cofactor, word in self.combination
             ],
         }
         return json.dumps(payload, indent=2)
@@ -196,63 +202,38 @@ def verify_certificate(cert: ModuleCertificate) -> bool:
     for cofactor, word in cert.combination:
         if word.arity != k:
             return False
-        if not is_symmetric(cofactor, k):
+        try:
+            terms.append((1, shuffle_word(word.exponents).scaled(cofactor)))
+        except NotSymmetric:
             return False
-        terms.append((1, shuffle_word(word.exponents).scaled(cofactor)))
     return element_sum(k, terms) == shuffle_word(cert.target.exponents)
 
 
-# -- arity-2 reduction --------------------------------------------------------
+# -- reduction ----------------------------------------------------------------
 
 _E1_2 = z(1) + z(2)
 _E2_2 = z(1) * z(2)
-
-
-@lru_cache(maxsize=64)
-def _reduce2_shifted(word: tuple[int, int]) -> tuple[tuple[tuple[int, int], LaurentPoly], ...]:
-    """Reduction of a min-0 arity-2 word to combinations over BASIS2."""
-    a, b = word
-    if word in ((0, 0), (1, 0)):
-        return ((word, ONE),)
-    if b == 0:
-        # [n+1,0] = (z1+z2).[n,0] - (z1 z2).[n-1,0]
-        n = a - 1
-        combo = _combo_scale(_reduce2_dict((n, 0)), _E1_2)
-        combo = _combo_sub(combo, _combo_scale(_reduce2_dict((n - 1, 0)), _E2_2))
-        return _combo_freeze(combo)
-    # [0,b] = (z1^b+z2^b).[0,0] - [b,0]
-    combo = _combo_scale(_reduce2_dict((0, 0)), _power_sum_poly(2, b))
-    combo = _combo_sub(combo, _reduce2_dict((b, 0)))
-    return _combo_freeze(combo)
-
-
-def _reduce2_dict(word: tuple[int, int]) -> dict:
-    return dict(_reduce2_shifted(word))
-
-
-def reduce2(word: WordLike | GeneratorWord) -> ModuleCertificate:
-    """Certificate writing an arity-2 word over the basis {[0,0],[1,0]}."""
-    w = as_word(word)
-    if w.arity != 2:
-        raise ArityTooSmall("reduce2 requires an arity-2 word")
-    shift = min(w.exponents)
-    shifted = tuple(d - shift for d in w.exponents)
-    combo = _reduce2_dict(shifted)  # type: ignore[arg-type]
-    if shift:
-        combo = _combo_scale(combo, _product_power_poly(2, shift))
-    return _certificate(w, combo)
-
-
-# -- arity-3 reduction --------------------------------------------------------
-
 _E1_3 = z(1) + z(2) + z(3)
 _E2_3 = z(1) * z(2) + z(1) * z(3) + z(2) * z(3)
 _E3_3 = z(1) * z(2) * z(3)
 
+_Rewrite = tuple[tuple[LaurentPoly, tuple[int, ...]], ...]
+
+
+def _rewrite2(word: tuple[int, ...]) -> _Rewrite:
+    """One action-(b) step for a min-0 arity-2 word outside BASIS2."""
+    a, b = word
+    if b == 0:
+        # [n+1,0] = (z1+z2).[n,0] - (z1 z2).[n-1,0]
+        return ((_E1_2, (a - 1, 0)), (-_E2_2, (a - 2, 0)))
+    # [0,b] = (z1^b+z2^b).[0,0] - [b,0]
+    return ((_power_sum_poly(2, b), (0, 0)), (-ONE, (b, 0)))
+
+
 # Base-case rewrites inside [0,2]^3 after min-shift: target word ->
 # (scalar, word) summands.  The first nine are the listed identities; the
 # rest are their variants under swapping the last two letters.
-_BASE3: dict[tuple[int, int, int], tuple[tuple[LaurentPoly, tuple[int, int, int]], ...]] = {
+_BASE3: dict[tuple[int, ...], _Rewrite] = {
     (0, 0, 1): ((_E1_3, (0, 0, 0)), (-ONE, (1, 0, 0)), (-ONE, (0, 1, 0))),
     (1, 0, 1): ((_E1_3, (1, 0, 0)), (-ONE, (2, 0, 0)), (-ONE, (1, 1, 0))),
     (0, 1, 1): ((_E2_3, (0, 0, 0)), (-ONE, (1, 0, 1)), (-ONE, (1, 1, 0))),
@@ -269,27 +250,12 @@ _BASE3: dict[tuple[int, int, int], tuple[tuple[LaurentPoly, tuple[int, int, int]
     (0, 1, 2): ((_E2_3, (0, 0, 1)), (-ONE, (1, 0, 2)), (-_E3_3, (0, 0, 0))),
 }
 
-_BASIS3_SET = {w.exponents for w in BASIS3}
 
-
-@lru_cache(maxsize=512)
-def _reduce3_cached(word: tuple[int, int, int]) -> tuple[tuple[tuple[int, int, int], LaurentPoly], ...]:
-    """Reduction of an arity-3 word to combinations over BASIS3."""
-    shift = min(word)
-    if shift:
-        combo = _combo_scale(
-            _reduce3_dict(tuple(d - shift for d in word)),
-            _product_power_poly(3, shift),
-        )
-        return _combo_freeze(combo)
-    if word in _BASIS3_SET:
-        return ((word, ONE),)
+def _rewrite3(word: tuple[int, ...]) -> _Rewrite:
+    """A base identity or one induction step for a min-0 arity-3 word
+    outside BASIS3."""
     if max(word) <= 2:
-        combo: dict = {}
-        for scalar_, sub in _BASE3[word]:
-            combo = _combo_add(combo, _combo_scale(_reduce3_dict(sub), scalar_))
-        return _combo_freeze(combo)
-
+        return _BASE3[word]
     # Induction step: some letter equals max(word) = n+1 >= 3, some letter is 0.
     n = max(word) - 1
     p = word.index(n + 1)
@@ -297,74 +263,63 @@ def _reduce3_cached(word: tuple[int, int, int]) -> tuple[tuple[tuple[int, int, i
     r = next(i for i in range(3) if i not in (p, q))
     d2 = word[r]
 
-    def build(p_val: int, r_val: int, q_val: int) -> tuple[int, int, int]:
+    def build(p_val: int, r_val: int, q_val: int) -> tuple[int, ...]:
         out = [0, 0, 0]
         out[p], out[r], out[q] = p_val, r_val, q_val
-        return tuple(out)  # type: ignore[return-value]
+        return tuple(out)
 
-    if 0 <= d2 < n:
+    if d2 < n:
         # [n+1,d2,0] = (z1+z2+z3).[n,d2,0] - [n,d2+1,0] - [n,d2,1]
-        combo = _combo_scale(_reduce3_dict(build(n, d2, 0)), _E1_3)
-        combo = _combo_sub(combo, _reduce3_dict(build(n, d2 + 1, 0)))
-        combo = _combo_sub(combo, _reduce3_dict(build(n, d2, 1)))
+        return ((_E1_3, build(n, d2, 0)), (-ONE, build(n, d2 + 1, 0)), (-ONE, build(n, d2, 1)))
+    # d2 > 1 holds because n >= 2, so the second rewrite applies:
+    # [n+1,d2,0] = e2.[n,d2-1,0] - e3.[n,d2-2,0] - e3.[n-1,d2-1,0]
+    return ((_E2_3, build(n, d2 - 1, 0)), (-_E3_3, build(n, d2 - 2, 0)),
+            (-_E3_3, build(n - 1, d2 - 1, 0)))
+
+
+# arity -> (basis words, rewrite of a min-0 word outside the basis)
+_RULES = {
+    2: ({w.exponents for w in BASIS2}, _rewrite2),
+    3: ({w.exponents for w in BASIS3}, _rewrite3),
+}
+
+
+@lru_cache(maxsize=1024)
+def _reduce(word: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], LaurentPoly], ...]:
+    """`word` as (basis word, cofactor) pairs sorted by word: a nonzero
+    minimum is shifted out by action (a), then one rewrite applies."""
+    shift = min(word)
+    basis, rewrite = _RULES[len(word)]
+    if shift:
+        steps: _Rewrite = ((_product_power_poly(len(word), shift), tuple(d - shift for d in word)),)
+    elif word in basis:
+        return ((word, ONE),)
     else:
-        # d2 > 1 holds because n >= 2, so the second rewrite applies:
-        # [n+1,d2,0] = e2.[n,d2-1,0] - e3.[n,d2-2,0] - e3.[n-1,d2-1,0]
-        assert d2 > 1, "induction rewrites must cover all residual words"
-        combo = _combo_scale(_reduce3_dict(build(n, d2 - 1, 0)), _E2_3)
-        combo = _combo_sub(
-            combo, _combo_scale(_reduce3_dict(build(n, d2 - 2, 0)), _E3_3)
-        )
-        combo = _combo_sub(
-            combo, _combo_scale(_reduce3_dict(build(n - 1, d2 - 1, 0)), _E3_3)
-        )
-    return _combo_freeze(combo)
+        steps = rewrite(word)
+    combo: dict = {}
+    for scalar_, sub in steps:
+        for basis_word, cofactor in _reduce(sub):
+            term = scalar_ * cofactor
+            prev = combo.get(basis_word)
+            combo[basis_word] = term if prev is None else prev + term
+    return tuple(sorted((w, c) for w, c in combo.items() if c))
 
 
-def _reduce3_dict(word: tuple[int, int, int]) -> dict:
-    return dict(_reduce3_cached(word))
+def _reduce_word(word: WordLike | GeneratorWord, arity: int) -> ModuleCertificate:
+    w = as_word(word)
+    if w.arity != arity:
+        raise ArityTooSmall(f"reduce{arity} requires an arity-{arity} word")
+    return ModuleCertificate(w, tuple((c, GeneratorWord(b)) for b, c in _reduce(w.exponents)))
+
+
+def reduce2(word: WordLike | GeneratorWord) -> ModuleCertificate:
+    """Certificate writing an arity-2 word over the basis {[0,0],[1,0]}."""
+    return _reduce_word(word, 2)
 
 
 def reduce3(word: WordLike | GeneratorWord) -> ModuleCertificate:
     """Certificate writing an arity-3 word over the six-word basis BASIS3."""
-    w = as_word(word)
-    if w.arity != 3:
-        raise ArityTooSmall("reduce3 requires an arity-3 word")
-    return _certificate(w, _reduce3_dict(w.exponents))  # type: ignore[arg-type]
-
-
-# -- combination helpers ------------------------------------------------------
-
-
-def _combo_add(a: Mapping, b: Mapping) -> dict:
-    out = dict(a)
-    for word, cofactor in b.items():
-        prev = out.get(word)
-        total = cofactor if prev is None else prev + cofactor
-        if total:
-            out[word] = total
-        else:
-            out.pop(word, None)
-    return out
-
-
-def _combo_sub(a: Mapping, b: Mapping) -> dict:
-    return _combo_add(a, {w: -c for w, c in b.items()})
-
-
-def _combo_scale(a: Mapping, scalar_: LaurentPoly) -> dict:
-    return {w: c * scalar_ for w, c in a.items()}
-
-
-def _combo_freeze(combo: Mapping) -> tuple:
-    return tuple(sorted(combo.items()))
-
-
-def _certificate(target: GeneratorWord, combo: Mapping) -> ModuleCertificate:
-    combination = tuple(
-        (cofactor, GeneratorWord(word)) for word, cofactor in sorted(combo.items())
-    )
-    return ModuleCertificate(target, combination)
+    return _reduce_word(word, 3)
 
 
 # -- obstruction utilities ----------------------------------------------------

@@ -31,6 +31,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from ._terms_py import add_into, mul_terms
+from .errors import NotSymmetric
 from .poly import (
     ONE,
     Q1,
@@ -60,7 +61,7 @@ class ShuffleElement:
         if arity < 0:
             raise ValueError("arity must be nonnegative")
         if not is_symmetric(poly, arity):
-            raise ValueError(f"polynomial is not symmetric in z1..z{arity}")
+            raise NotSymmetric(f"polynomial is not symmetric in z1..z{arity}")
         self.arity, self.coeffs, self._poly = arity, alternant(poly, arity), poly
 
     @classmethod
@@ -99,7 +100,7 @@ class ShuffleElement:
         if not isinstance(c, LaurentPoly):
             c = LaurentPoly.constant(c)
         if not is_symmetric(c, self.arity):
-            raise ValueError(f"scalar factor must be symmetric in z1..z{self.arity}")
+            raise NotSymmetric(f"scalar factor must be symmetric in z1..z{self.arity}")
         return ShuffleElement._of(self.arity, alternant(c, self.arity, self.coeffs))
 
     def __mul__(self, c):

@@ -159,6 +159,7 @@ def test_verify_cert_files(tmp_path, capsys):
         (dict(good, combination=[pair, 7]), "combination[1] must be a [cofactor, word] pair"),
         (dict(good, combination=[[5, [2, 0, 1]]]), "combination[0][0] must be a string, not int"),
         (dict(good, combination=[["1", [2, 0, 1.5]]]), "combination[0][1] must be a list"),
+        (dict(good, combination=[["z4", [2, 0, 1]]]), "z-index above arity 3"),
     ]
     for payload, message in named:
         malformed.write_text(json.dumps(payload))
@@ -204,6 +205,14 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "expand", "(" * 400 + "z1" + ")" * 400)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_deep_recursion_exit_code(capsys):
+    # the reduction recurses once per unit of letter spread; nothing is nested
+    for argv in (("reduce2", "[0,5000]"), ("reduce3", "[0,0,3000]")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: the computation recursed too deeply\n", argv
 
 
 def test_arity_error_exit_code(capsys):

@@ -84,6 +84,12 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ExprSyntaxError) as err:
         parse("z1 $ z2")
     assert err.value.position == 3
+    # only ASCII digits and letters: a superscript or Arabic-Indic digit is
+    # neither an integer nor silently read as one
+    for text in ("z1^\u00b2", "sh[\u0663,0]"):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert err.value.position == 3, text
 
 
 def test_arity_mismatch_is_parse_time():
@@ -102,8 +108,10 @@ def test_arity_mismatch_is_parse_time():
 
 
 def test_asymmetric_scaling_rejected_at_eval():
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ArityMismatch) as err:
         eval_text("z1 sh[0,0]")
+    assert err.value.position == 3
+    assert "scalar factor must be symmetric in z1..z2" in str(err.value)
 
 
 def test_as_element_symmetry_guard():

@@ -1,5 +1,7 @@
 """Generator words, module actions, and reduction certificates."""
 
+import hashlib
+import itertools
 import json
 import random
 import sys
@@ -22,6 +24,7 @@ from intshuffle.generators import (
     verify_lemma,
 )
 from intshuffle.cli import main
+from intshuffle.conditions import ideal_certificate
 from intshuffle.poly import LaurentPoly, z
 from intshuffle.shuffle import shuffle_word
 
@@ -161,7 +164,7 @@ def test_reduce_arity_errors():
 
 
 def test_certificate_json_round_trip():
-    cert = reduce3([1, 0, 2]).sorted()
+    cert = reduce3([1, 0, 2])
     text = cert.to_json()
     parsed = json.loads(text)
     assert parsed["schema"] == 1
@@ -171,6 +174,21 @@ def test_certificate_json_round_trip():
     # deterministic ordering by word
     words = [w for _, w in parsed["combination"]]
     assert words == sorted(words)
+
+
+def test_certificate_bytes_pinned():
+    # MD5 of the concatenated certificate JSON, in itertools.product order
+    module = hashlib.md5()
+    for word in itertools.product(range(-2, 5), repeat=3):
+        module.update(reduce3(word).to_json().encode())
+    for word in itertools.product(range(-2, 5), repeat=2):
+        module.update(reduce2(word).to_json().encode())
+    assert module.hexdigest() == "0249944fc3c0909450a8262939da5f72"
+    ideal = hashlib.md5()
+    for arity in (2, 3):
+        for word in itertools.product(range(-1, 3), repeat=arity):
+            ideal.update(ideal_certificate(word).to_json().encode())
+    assert ideal.hexdigest() == "de120ba02e4e83bf6fb51906ec00caaf"
 
 
 def test_range4():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intshuffle.errors import NotSymmetric
 from intshuffle.poly import Q1, Q2, LaurentPoly, is_symmetric, substitute, z
 from intshuffle.shuffle import (
     ShuffleElement,
@@ -214,8 +215,10 @@ def test_element_operations_match_monomials(data):
 
 
 def test_shuffle_element_validation():
-    with pytest.raises(ValueError):
-        ShuffleElement(2, z(1))  # not symmetric
+    with pytest.raises(NotSymmetric):
+        ShuffleElement(2, z(1))
+    with pytest.raises(NotSymmetric):
+        ShuffleElement(2, LaurentPoly.constant(1)).scaled(z(1))
     with pytest.raises(ValueError):
         ShuffleElement(1, z(2))  # z-index above arity
     with pytest.raises(ValueError):
