@@ -20,7 +20,8 @@ from .conditions import (
     verify_ideal_certificate,
     wheel_check,
 )
-from .expr import as_element, eval_text
+from .errors import ArityMismatch, ExprSyntaxError
+from .expr import WordLit, as_element, eval_text, parse
 from .generators import (
     ModuleCertificate,
     reduce2,
@@ -33,18 +34,18 @@ from .shuffle import ShuffleElement, one_variable, shuffle, shuffle_word
 
 
 def _parse_word_arg(text: str) -> tuple[int, ...]:
+    """`[1,0,2]`, `sh[1,0,2]` or `1,0,2`, read as the `sh[...]` literal of
+    the expression grammar (ASCII digits only)."""
     body = text.strip()
-    if body.startswith("sh["):
-        body = body[2:]
-    if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1]
-    body = body.strip()
-    if not body:
-        return ()
+    if not body.startswith("sh"):
+        body = "sh" + (body if body.startswith("[") else f"[{body}]")
     try:
-        return tuple(int(piece) for piece in body.split(","))
-    except ValueError:
-        raise ValueError(f"not a word: {text!r} (expected e.g. '[1,0,2]')") from None
+        node = parse(body)
+    except (ExprSyntaxError, ArityMismatch):
+        node = None
+    if not isinstance(node, WordLit):
+        raise ValueError(f"not a word: {text!r} (expected e.g. '[1,0,2]')")
+    return node.exponents
 
 
 def _emit(args, payload: dict, text: str) -> None:

@@ -14,11 +14,16 @@ decomposition
 which routes any cross-block kernel factor through (g1, g2).
 
 `ideal_certificate` builds explicit cofactors (A, B) with
-expand(word) = A g1 + B g2.  The construction expands the product over the
-placements of the last letter with everything held over the common
-denominator V = prod_{i<j}(z_i - z_j): placements at z1 or z2 go through
-the kernel decomposition, any other placement recurses into the prefix
-word (whose certificate keeps z1, z2 in place).  The resulting cofactors
+expand(word) = A g1 + B g2, for every arity k >= 2, in one loop over the
+placements z_b of the last letter with everything held over the common
+denominator V = prod_{i<j}(z_i - z_j).  Placement b carries the product
+z_b^d * M_b * prod_{a not in {b, 3-b}} omega_num(z_a, z_b), where
+M_b = V / prod_{a!=b}(z_a - z_b) is (-1)^(k-b) times the Vandermonde of the
+other k-1 variables, so no division is needed.  A placement at z1 or z2
+multiplies in the relabelled prefix word and splits through the kernel
+decomposition of the one omega(z_c, z_b), c = 3 - b, left out of the
+product; any other placement multiplies in the relabelled certificate of
+the prefix word (which keeps z1, z2 in place).  The resulting cofactors
 have denominator V, so a repair pass walks the linear factors f of V and
 shifts (A, B) by a multiple of (g2, -g1) until both are divisible by f,
 then divides f out; solvability at each step follows from g1 and g2 being
@@ -82,6 +87,11 @@ def ideal_generators() -> IdealGenerators:
 # -- wheel conditions ---------------------------------------------------------
 
 
+def _vanishes_under(element: ShuffleElement, *assignments: dict) -> bool:
+    """Whether the element's image under every assignment is zero."""
+    return all(not substitute(element.poly, assignment) for assignment in assignments)
+
+
 def wheel_check(element: ShuffleElement) -> bool:
     """Vanishing under both ratio assignments; vacuous below arity 3.
 
@@ -91,12 +101,8 @@ def wheel_check(element: ShuffleElement) -> bool:
     """
     if element.arity < 3:
         return True
-    p = element.poly
-    first = substitute(p, {"z1": _Q * z(3), "z2": Q2 * z(3)})
-    if first:
-        return False
-    second = substitute(p, {"z1": _Q * z(3), "z2": Q1 * z(3)})
-    return not second
+    return _vanishes_under(element, {"z1": _Q * z(3), "z2": Q2 * z(3)},
+                           {"z1": _Q * z(3), "z2": Q1 * z(3)})
 
 
 def ideal_wheel_check(element: ShuffleElement) -> bool:
@@ -108,12 +114,8 @@ def ideal_wheel_check(element: ShuffleElement) -> bool:
     """
     if element.arity < 3:
         raise ArityTooSmall("the wheel ideals live in arity >= 3")
-    p = element.poly
-    first = substitute(p, {"z2": Q1 * z(1), "z3": Q1 * Q2 * z(1)})
-    if first:
-        return False
-    second = substitute(p, {"z2": Q2 * z(1), "z3": Q1 * Q2 * z(1)})
-    return not second
+    return _vanishes_under(element, {"z2": Q1 * z(1), "z3": _Q * z(1)},
+                           {"z2": Q2 * z(1), "z3": _Q * z(1)})
 
 
 # -- kernel decomposition -------------------------------------------------------
@@ -198,51 +200,29 @@ def verify_ideal_certificate(cert: IdealCertificate) -> bool:
 @lru_cache(maxsize=128)
 def _cofactors(word: tuple[int, ...]) -> tuple[LaurentPoly, LaurentPoly]:
     k = len(word)
-    if k == 2:
-        # Directly from the kernel decomposition applied to both placements:
-        # A is the symmetrization of the letter monomials, B the divided
-        # antisymmetrization (exactly divisible by z1 - z2).
-        d1, d2 = word
-        m = z(1, d1) * z(2, d2)
-        m_swap = z(1, d2) * z(2, d1)
-        a = _HALF * (m + m_swap)
-        b = _HALF * z(1) * z(2) * exact_div(m - m_swap, z(1) - z(2))
-        return (a, b)
-
     prefix = word[:-1]
-    d_last = word[-1]
     gens = ideal_generators()
-    vandermonde = _vandermonde(k)
     a_hat = LaurentPoly.zero()
     b_hat = LaurentPoly.zero()
     prefix_poly = shuffle_word(prefix).poly
 
     for b_var in range(1, k + 1):
         others = [i for i in range(1, k + 1) if i != b_var]
-        p_rel = relabel_z(
-            prefix_poly, {i + 1: others[i] for i in range(k - 1)}
-        )
-        multiplier = vandermonde
+        mapping = dict(enumerate(others, 1))
+        # V_k / prod_{a != b}(z_a - z_b) is the Vandermonde of the others, up to sign
+        m_b = (-1) ** (k - b_var) * relabel_z(_vandermonde(k - 1), mapping)
+        carried = z(b_var, word[-1]) * m_b
+        c_var = 3 - b_var  # the other special variable; out of range when b_var > 2
         for a_var in others:
-            multiplier = exact_div(multiplier, z(a_var) - z(b_var))
+            if a_var != c_var:
+                carried = carried * omega_numerator(a_var, b_var)
         if b_var <= 2:
-            # Kernel factor against the other special variable routes the
-            # placement through the decomposition of omega(z_c, z_b).
-            c_var = 3 - b_var
-            carried = p_rel * z(b_var, d_last)
-            for a_var in others:
-                if a_var != c_var:
-                    carried = carried * omega_numerator(a_var, b_var)
-            # the g1 half keeps no (z_c - z_b) denominator, so restore the
-            # factor that `multiplier` already divided out
-            a_hat = a_hat + _HALF * carried * multiplier * (z(c_var) - z(b_var))
-            b_hat = b_hat + _HALF * z(1) * z(2) * carried * multiplier
+            # 2 omega(z_c, z_b) = (z_c - z_b) g1 + z1 z2 g2 splits the placement
+            carried = carried * relabel_z(prefix_poly, mapping)
+            a_hat = a_hat + _HALF * carried * (z(c_var) - z(b_var))
+            b_hat = b_hat + _HALF * z(1) * z(2) * carried
         else:
             sub_a, sub_b = _cofactors(prefix)
-            mapping = {i + 1: others[i] for i in range(k - 1)}
-            carried = z(b_var, d_last) * multiplier
-            for a_var in others:
-                carried = carried * omega_numerator(a_var, b_var)
             a_hat = a_hat + relabel_z(sub_a, mapping) * carried
             b_hat = b_hat + relabel_z(sub_b, mapping) * carried
 

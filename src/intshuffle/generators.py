@@ -26,13 +26,14 @@ recurses into each word, so its depth grows with the spread of the letters.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from .errors import ArityTooSmall, NotSymmetric
 from .poly import ONE, LaurentPoly, render, z
-from .shuffle import ShuffleElement, element_sum, shuffle_word
+from .shuffle import element_sum, shuffle_word
 
 WordLike = Sequence[int]
 
@@ -44,7 +45,8 @@ class GeneratorWord:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(d) for d in self.exponents))
+        # operator.index refuses floats and strings instead of truncating them
+        object.__setattr__(self, "exponents", tuple(operator.index(d) for d in self.exponents))
 
     @property
     def arity(self) -> int:
@@ -58,9 +60,6 @@ class GeneratorWord:
 
     def __str__(self) -> str:
         return "sh[" + ",".join(str(d) for d in self.exponents) + "]"
-
-    def expand(self) -> ShuffleElement:
-        return shuffle_word(self.exponents)
 
 
 def as_word(word: WordLike | GeneratorWord) -> GeneratorWord:

@@ -145,16 +145,11 @@ def sym(p: LaurentPoly, k: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _binomial(i: int, j: int) -> LaurentPoly:
-    return z(i) - z(j)
-
-
-@lru_cache(maxsize=None)
 def _vandermonde(n: int) -> LaurentPoly:
     out = ONE
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            out = out * _binomial(i, j)
+            out = out * (z(i) - z(j))
     return out
 
 
@@ -166,7 +161,7 @@ def _divide_vandermonde(p: LaurentPoly, n: int) -> LaurentPoly:
     """
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            p = exact_div(p, _binomial(i, j))
+            p = exact_div(p, z(i) - z(j))
     return p
 
 
@@ -216,7 +211,7 @@ def shuffle_full_sym(left: ShuffleElement, right: ShuffleElement) -> ShuffleElem
         correction = vandermonde
         for a in perm[:k]:
             for b in perm[k:]:
-                correction = exact_div(correction, _binomial(a, b))
+                correction = exact_div(correction, z(a) - z(b))
                 term = term * omega_numerator(a, b)
         numerator = numerator + term * correction
     scale = Fraction(1, math.factorial(k) * math.factorial(l))

@@ -94,6 +94,19 @@ def test_reduce2(capsys):
     assert "verified: true" in out
 
 
+def test_word_argument_forms(capsys):
+    for word in ("[1,0]", "sh[1,0]", "1,0", " [ 1 , 0 ] "):
+        code, out, _ = run(capsys, "reduce2", word)
+        assert code == 0 and out.startswith("target: sh[1,0]\n"), word
+    code, _, err = run(capsys, "ideal-cert", "[]")
+    assert code == 2 and "arity" in err
+    # letters are ASCII integers: int() would read these as 3 and 10
+    for word in ("[\u0663,0]", "[1_0,0]", "[1.5,0]", "[1,0", "sh[1,0]+sh[0,0]"):
+        code, out, err = run(capsys, "reduce2", word)
+        assert (code, out) == (2, ""), word
+        assert err.startswith("error: not a word"), word
+
+
 def test_reduce3_json(capsys):
     code, out, _ = run(capsys, "reduce3", "[0,0,1]", "--json", "--verify")
     assert code == 0

@@ -1,5 +1,6 @@
 """Wheel conditions, kernel decomposition, ideal and divisibility certificates."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from intshuffle.conditions import (
 )
 from intshuffle.errors import ArityTooSmall
 from intshuffle.generators import GeneratorWord
-from intshuffle.poly import Q1, Q2, LaurentPoly, substitute, z
+from intshuffle.poly import Q1, Q2, LaurentPoly, exact_div, substitute, z
 from intshuffle.shuffle import ShuffleElement, omega_numerator, shuffle_word, sym
 
 Q = Q1 * Q2
@@ -112,6 +113,16 @@ def test_ideal_certificate_letter_word():
     assert cert.A == Fraction(1, 2) * (z(1) + z(2))
     assert cert.B == Fraction(1, 2) * z(1) * z(2)
     assert verify_ideal_certificate(cert)
+
+
+def test_ideal_certificate_arity_two_closed_form():
+    # at arity 2 the placement loop reduces to A = (m + m_swap)/2 and
+    # B = z1 z2 (m - m_swap) / (2 (z1 - z2)) with m = z1^d1 z2^d2
+    for d1, d2 in itertools.product(range(-3, 5), repeat=2):
+        m, m_swap = z(1, d1) * z(2, d2), z(1, d2) * z(2, d1)
+        cert = ideal_certificate([d1, d2])
+        assert cert.A == Fraction(1, 2) * (m + m_swap), (d1, d2)
+        assert cert.B == Fraction(1, 2) * z(1) * z(2) * exact_div(m - m_swap, z(1) - z(2)), (d1, d2)
 
 
 def test_ideal_certificate_arity_three():

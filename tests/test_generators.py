@@ -156,6 +156,16 @@ def test_perturbed_certificate_fails():
     assert not verify_certificate(bad)
 
 
+def test_words_refuse_non_integer_letters():
+    # int() would truncate these to sh[1,0], sh[0,0] and sh[2,0]
+    with pytest.raises(TypeError):
+        reduce2([1.5, 0])
+    with pytest.raises(TypeError):
+        ideal_certificate([0.9, 0])
+    with pytest.raises(TypeError):
+        GeneratorWord(("2", 0))
+
+
 def test_reduce_arity_errors():
     with pytest.raises(ArityTooSmall):
         reduce2([1, 2, 3])
