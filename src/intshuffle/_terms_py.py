@@ -222,7 +222,7 @@ def _codec(slots: int, reach: int):
     return _codec_cached(max(slots, 1), _slot_bytes(reach))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _codec_cached(slots: int, size: int):
     layout = struct.Struct("<%d%s" % (slots, {2: "h", 4: "i", 8: "q"}[size]))
     bits = 8 * size

@@ -27,8 +27,12 @@ the prefix word (which keeps z1, z2 in place).  The resulting cofactors
 have denominator V, so a repair pass walks the linear factors f of V and
 shifts (A, B) by a multiple of (g2, -g1) until both are divisible by f,
 then divides f out; solvability at each step follows from g1 and g2 being
-coprime modulo every z_i - z_j.  `verify_ideal_certificate` is the
-authority on the result.
+coprime modulo every z_i - z_j.  The loop builds the scaled pair (2A, 2B):
+the placements at z1 and z2 split 2 omega rather than omega, and the
+placements b >= 3 take the prefix's scaled pair, so every product runs on
+integer coefficients and `ideal_certificate` halves once at the end.
+`verify_ideal_certificate` is the authority on the result; it clears the
+cofactors' denominators before multiplying, so it too works on integers.
 
 Wheel conditions: an element of arity >= 3 must vanish whenever
 {z1/z2, z2/z3, z3/z1} = {q1, q2, 1/q}; both the direct substitution form
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -64,7 +69,6 @@ from .poly import (
 from .shuffle import ShuffleElement, _vandermonde, omega_numerator, shuffle_word
 
 _Q = Q1 * Q2
-_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,7 @@ class IdealGenerators:
     g2: LaurentPoly
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def ideal_generators() -> IdealGenerators:
     g1 = (
         2 * _Q * z(1) ** 2
@@ -193,12 +197,28 @@ class IdealCertificate:
 
 
 def verify_ideal_certificate(cert: IdealCertificate) -> bool:
+    """Whether A g1 + B g2 == target, checked as L A g1 + L B g2 == L target
+    with L the lcm of the cofactors' denominators, so the products run on
+    integer coefficients (g1 and g2 are integral)."""
     gens = ideal_generators()
-    return cert.A * gens.g1 + cert.B * gens.g2 == cert.target_poly()
+    lcm = math.lcm(*(c.denominator for p in (cert.A, cert.B) for c in p.terms.values()
+                     if isinstance(c, Fraction)))
+    a, b = _cleared(cert.A, lcm), _cleared(cert.B, lcm)
+    return a * gens.g1 + b * gens.g2 == lcm * cert.target_poly()
+
+
+def _cleared(p: LaurentPoly, lcm: int) -> LaurentPoly:
+    """lcm * p as integer coefficients; lcm is a multiple of every denominator."""
+    return LaurentPoly._raw(
+        {m: c * lcm if isinstance(c, int) else c.numerator * (lcm // c.denominator)
+         for m, c in p.terms.items()}
+    )
 
 
 @lru_cache(maxsize=128)
 def _cofactors(word: tuple[int, ...]) -> tuple[LaurentPoly, LaurentPoly]:
+    """The scaled pair (2A, 2B) of `ideal_certificate`; its placements split
+    2 omega rather than omega, so no half enters the products."""
     k = len(word)
     prefix = word[:-1]
     gens = ideal_generators()
@@ -219,8 +239,8 @@ def _cofactors(word: tuple[int, ...]) -> tuple[LaurentPoly, LaurentPoly]:
         if b_var <= 2:
             # 2 omega(z_c, z_b) = (z_c - z_b) g1 + z1 z2 g2 splits the placement
             carried = carried * relabel_z(prefix_poly, mapping)
-            a_hat = a_hat + _HALF * carried * (z(c_var) - z(b_var))
-            b_hat = b_hat + _HALF * z(1) * z(2) * carried
+            a_hat = a_hat + carried * (z(c_var) - z(b_var))
+            b_hat = b_hat + z(1) * z(2) * carried
         else:
             sub_a, sub_b = _cofactors(prefix)
             a_hat = a_hat + relabel_z(sub_a, mapping) * carried
@@ -245,7 +265,15 @@ def ideal_certificate(word: WordLike | GeneratorWord) -> IdealCertificate:
     if w.arity < 2:
         raise ArityTooSmall("ideal membership needs arity >= 2")
     a, b = _cofactors(w.exponents)
-    return IdealCertificate(w, a, b)
+    return IdealCertificate(w, _halved(a), _halved(b))
+
+
+def _halved(p: LaurentPoly) -> LaurentPoly:
+    """p / 2, with every integral coefficient an int."""
+    return LaurentPoly._raw(
+        {m: c // 2 if isinstance(c, int) and not c & 1 else Fraction(c, 2)
+         for m, c in p.terms.items()}
+    )
 
 
 # -- corollary divisibility ------------------------------------------------------

@@ -28,6 +28,12 @@ or a shuffle element of a definite arity; adding elements of different
 arities, shuffling a z-dependent scalar, or scaling an element by a scalar
 that is not symmetric in its variables are type errors reported with the
 character position.
+
+Sums and juxtaposed products are flat nodes, walked in a loop, so their
+length is not bounded by the recursion limit.  A product of numbers,
+variables and their powers, such as a term `-3/4 q1^2 z2 z3^-1` of printed
+certificate text, evaluates to one term: exponents are added and
+coefficients multiplied, with no polynomial product per factor.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ArityMismatch, ExprSyntaxError, NotSymmetric
-from .poly import LaurentPoly, Q1, Q2, signed_sum, z
+from .poly import LaurentPoly, Q1, Q2, _slot, signed_sum, z
 from .shuffle import ShuffleElement, element_sum, one_variable, scalar, shuffle, shuffle_word
 
 Value = Union[LaurentPoly, ShuffleElement]
@@ -54,7 +60,7 @@ class Node:
 
 @dataclass(frozen=True)
 class Num(Node):
-    value: Fraction
+    value: int | Fraction  # an int unless written with a denominator
 
 
 @dataclass(frozen=True)
@@ -84,8 +90,12 @@ class Sum(Node):
 
 @dataclass(frozen=True)
 class Juxt(Node):
-    left: Node
-    right: Node
+    """A product by adjacency: (start position, factor) per factor, in order.
+
+    Flat like `Sum`, so a product of any length is walked in a loop.
+    """
+
+    factors: tuple[tuple[int, Node], ...]
 
 
 @dataclass(frozen=True)
@@ -182,13 +192,16 @@ class _Parser:
 
     # juxt := power power*
     def parse_juxt(self) -> Node:
-        node = self.parse_power()
+        factors = [(self.peek()[2], self.parse_power())]
         while True:
             kind, _, pos = self.peek()
-            if kind in ("INT", "NAME") or self.at_sym("("):
-                node = Juxt(pos, node, self.parse_power())
-            else:
-                return node
+            if not (kind in ("INT", "NAME") or self.at_sym("(")):
+                break
+            factors.append((pos, self.parse_power()))
+        if len(factors) == 1:
+            return factors[0][1]
+        # positioned at the last factor, the one multiplied in last
+        return Juxt(factors[-1][0], tuple(factors))
 
     # power := atom ['^' exponent]
     def parse_power(self) -> Node:
@@ -225,14 +238,14 @@ class _Parser:
     def parse_atom(self) -> Node:
         kind, name, pos = self.peek()
         if kind == "INT":
-            value = Fraction(self.parse_int("an integer"))
+            value = self.parse_int("an integer")
             if self.at_sym("/"):
                 self.advance()
                 den_pos = self.peek()[2]
                 den = self.parse_int("an integer denominator")
                 if den == 0:
                     raise ExprSyntaxError(den_pos, "zero denominator")
-                value = value / den
+                value = Fraction(value, den)
             return Num(pos, value)
         if kind == "NAME":
             self.advance()
@@ -296,22 +309,23 @@ def infer(node: Node) -> tuple[str, int]:
             ln = max(ln, rn)
         return (lk, ln)
     if isinstance(node, Juxt):
-        lk, ln = infer(node.left)
-        rk, rn = infer(node.right)
-        if lk == SCALAR and rk == SCALAR:
-            return (SCALAR, max(ln, rn))
-        if lk == rk:
-            raise ArityMismatch(
-                node.pos, "use '*' for the shuffle product of two elements"
-            )
-        scalar_z = ln if lk == SCALAR else rn
-        arity = rn if lk == SCALAR else ln
-        if scalar_z > arity:
-            raise ArityMismatch(
-                node.pos,
-                f"scalar factor uses z{scalar_z} but the element has arity {arity}",
-            )
-        return (ELEMENT, arity)
+        _, first = node.factors[0]
+        lk, ln = infer(first)
+        for pos, factor in node.factors[1:]:
+            rk, rn = infer(factor)
+            if lk == SCALAR and rk == SCALAR:
+                ln = max(ln, rn)
+                continue
+            if lk == rk:
+                raise ArityMismatch(pos, "use '*' for the shuffle product of two elements")
+            scalar_z = ln if lk == SCALAR else rn
+            arity = rn if lk == SCALAR else ln
+            if scalar_z > arity:
+                raise ArityMismatch(
+                    pos, f"scalar factor uses z{scalar_z} but the element has arity {arity}"
+                )
+            lk, ln = ELEMENT, arity
+        return (lk, ln)
     if isinstance(node, Shuf):
         lk, ln = infer(node.left)
         rk, rn = infer(node.right)
@@ -369,17 +383,7 @@ def evaluate(node: Node) -> Value:
             return signed_sum(values)
         return element_sum(first.arity, values)
     if isinstance(node, Juxt):
-        left = evaluate(node.left)
-        right = evaluate(node.right)
-        if isinstance(left, LaurentPoly) and isinstance(right, LaurentPoly):
-            return left * right
-        poly, element = (
-            (left, right) if isinstance(left, LaurentPoly) else (right, left)
-        )
-        try:
-            return element.scaled(poly)
-        except NotSymmetric as exc:
-            raise ArityMismatch(node.pos, str(exc)) from None
+        return _product(node.factors)
     if isinstance(node, Shuf):
         left = evaluate(node.left)
         right = evaluate(node.right)
@@ -397,6 +401,72 @@ def evaluate(node: Node) -> Value:
             )
         return base**node.exponent
     raise TypeError(f"unknown node {node!r}")
+
+
+def _product(factors: tuple[tuple[int, Node], ...]) -> Value:
+    """Left fold of a juxtaposed product.
+
+    While the running value is a scalar, numbers, variables and their powers
+    go into one pending term (exponents added, coefficients multiplied); the
+    term joins the other factors where an element is met, or at the end.  An
+    element is scaled by each later factor in turn, so a factor that is not
+    symmetric is reported at its own position.
+    """
+    exps: list[int] = []
+    coeff = 1
+    value: Value | None = None  # the product of the factors not in the term
+    for i, (pos, factor) in enumerate(factors):
+        if isinstance(value, ShuffleElement):
+            value = _scaled(value, evaluate(factor), pos)
+            continue
+        c = _term_factor(factor, exps)
+        if c is not None:
+            coeff *= c
+            continue
+        operand = evaluate(factor)
+        if isinstance(operand, LaurentPoly):
+            value = operand if value is None else value * operand
+        elif i:
+            value = _scaled(operand, _times_term(value, exps, coeff), pos)
+        else:
+            value = operand
+    if isinstance(value, ShuffleElement):
+        return value
+    return _times_term(value, exps, coeff)
+
+
+def _term_factor(node: Node, exps: list[int]) -> int | Fraction | None:
+    """Add the exponents of a number, variable or power of one to `exps` and
+    return its coefficient; None, with `exps` untouched, for any other node."""
+    e = 1
+    if isinstance(node, Pow):
+        node, e = node.base, node.exponent
+    if isinstance(node, Num):
+        if e >= 0:
+            return node.value**e
+        if not node.value:
+            return None  # `evaluate` reports the zero base
+        return 1 / Fraction(node.value) ** -e
+    if not isinstance(node, Var):
+        return None
+    for slot in (0, 1) if node.name == "q" else (_slot(node.name),):
+        if slot >= len(exps):
+            exps.extend([0] * (slot + 1 - len(exps)))
+        exps[slot] += e
+    return 1
+
+
+def _times_term(value: LaurentPoly | None, exps: list[int], coeff) -> LaurentPoly:
+    """value (1 when None) times the term coeff * prod(var_slot ^ exps[slot])."""
+    term = LaurentPoly({tuple(exps): coeff})
+    return term if value is None else value * term
+
+
+def _scaled(element: ShuffleElement, factor: LaurentPoly, pos: int) -> ShuffleElement:
+    try:
+        return element.scaled(factor)
+    except NotSymmetric as exc:
+        raise ArityMismatch(pos, str(exc)) from None
 
 
 def eval_text(text: str) -> Value:

@@ -128,7 +128,7 @@ def element_sum(arity: int, terms: Iterable[tuple[int, ShuffleElement]]) -> Shuf
     return ShuffleElement._of(arity, {alpha: row for alpha, row in out.items() if row})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def omega_numerator(i: int, j: int) -> LaurentPoly:
     """(z_i - q z_j)(z_j - q1 z_i)(z_j - q2 z_i) with q = q1 q2, expanded."""
     zi, zj = z(i), z(j)
@@ -144,7 +144,7 @@ def sym(p: LaurentPoly, k: int) -> LaurentPoly:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _vandermonde(n: int) -> LaurentPoly:
     out = ONE
     for i in range(1, n + 1):

@@ -2,8 +2,13 @@
 
 import hashlib
 import json
+from fractions import Fraction
+
+import pytest
 
 from intshuffle.cli import main
+from intshuffle.conditions import IdealCertificate, ideal_certificate, verify_ideal_certificate
+from intshuffle.poly import LaurentPoly
 
 GOLDEN_00 = (
     "-q1^2 q2^2 z1 z2 - q1^2 q2 z1 z2 - q1 q2^2 z1 z2 + 2 q1 q2 z1^2"
@@ -209,6 +214,33 @@ def test_verify_ideal_cert_file(tmp_path, capsys):
         cert_file.write_text(json.dumps(payload))
         code, _, err = run(capsys, "verify-ideal-cert", str(cert_file))
         assert code == 2 and err.startswith("error:") and message in err, (message, err)
+
+
+@pytest.mark.parametrize("shift", [Fraction(1, 2), Fraction(1, 3), 1])
+def test_verify_ideal_cert_rejects_a_shifted_coefficient(shift, tmp_path, capsys):
+    cert = ideal_certificate([1, 0, 1])
+    assert verify_ideal_certificate(cert)
+    terms = dict(cert.A.terms)
+    mono = sorted(terms)[len(terms) // 2]
+    terms[mono] += shift
+    wrong = IdealCertificate(cert.target, LaurentPoly(terms), cert.B)
+    assert not verify_ideal_certificate(wrong)
+    cert_file = tmp_path / "ideal.json"
+    cert_file.write_text(wrong.to_json())
+    code, out, _ = run(capsys, "verify-ideal-cert", str(cert_file))
+    assert (code, out) == (1, "false\n")
+
+
+def test_one_parser_keeps_no_state_between_calls(capsys):
+    for flags in (["--json", "expand", "1"], ["expand", "1", "--json"]):
+        code, out, _ = run(capsys, *flags)
+        assert code == 0 and json.loads(out)["poly"] == "1", flags
+        assert run(capsys, "expand", "1") == (0, "1\n", ""), flags
+    code, out, _ = run(capsys, "props", "--seed", "7", "--trials", "1", "--json")
+    assert code == 0 and json.loads(out)["holds"]
+    assert run(capsys, "props", "--trials", "1")[1] == run(capsys, "props", "--seed", "0", "--trials", "1")[1]
+    assert run(capsys, "expand")[0] == 2
+    assert run(capsys, "expand", "1") == (0, "1\n", "")
 
 
 def test_parse_error_exit_code(capsys):

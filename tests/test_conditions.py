@@ -17,8 +17,9 @@ from intshuffle.conditions import (
     wheel_check,
 )
 from intshuffle.errors import ArityTooSmall
+from intshuffle.expr import parse_poly
 from intshuffle.generators import GeneratorWord
-from intshuffle.poly import Q1, Q2, LaurentPoly, exact_div, substitute, z
+from intshuffle.poly import Q1, Q2, LaurentPoly, exact_div, render, substitute, z
 from intshuffle.shuffle import ShuffleElement, omega_numerator, shuffle_word, sym
 
 Q = Q1 * Q2
@@ -123,6 +124,17 @@ def test_ideal_certificate_arity_two_closed_form():
         cert = ideal_certificate([d1, d2])
         assert cert.A == Fraction(1, 2) * (m + m_swap), (d1, d2)
         assert cert.B == Fraction(1, 2) * z(1) * z(2) * exact_div(m - m_swap, z(1) - z(2)), (d1, d2)
+
+
+def test_ideal_cofactors_keep_integral_coefficients_as_int():
+    # the criterion-11 grid and one arity-4 word, built and read back
+    words = [w for arity in (2, 3) for w in itertools.product(range(-1, 3), repeat=arity)]
+    for word in words + [(1, 0, 2, 0)]:
+        cert = ideal_certificate(word)
+        for p in (cert.A, cert.B, parse_poly(render(cert.A)), parse_poly(render(cert.B))):
+            assert not any(
+                isinstance(c, Fraction) and c.denominator == 1 for c in p.terms.values()
+            ), word
 
 
 def test_ideal_certificate_arity_three():

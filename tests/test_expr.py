@@ -1,13 +1,17 @@
 """Expression language: parsing, typing, evaluation, round trips."""
 
+import functools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from intshuffle.errors import ArityMismatch, ExprSyntaxError
 from intshuffle.expr import as_element, eval_text, parse, parse_poly
-from intshuffle.poly import Q1, Q2, LaurentPoly, render, z
+from intshuffle.poly import Q1, Q2, ZERO, LaurentPoly, render, z
 from intshuffle.shuffle import ShuffleElement, shuffle_word
 
 
@@ -143,3 +147,48 @@ def test_parse_poly_rejects_elements():
 def test_golden_round_trip():
     text = render(shuffle_word([0, 0]).poly)
     assert parse_poly(text) == shuffle_word([0, 0]).poly
+
+
+def test_juxtaposed_products_longer_than_the_recursion_limit():
+    # a product is one flat node: typing and evaluation walk it in a loop
+    n = 1500
+    assert parse_poly(" ".join(["z1"] * n)) == z(1, n)
+    value = eval_text(" ".join(["q1"] * n) + " sh[0]")
+    assert value.arity == 1 and value.poly == Q1**n
+    value = eval_text("sh[0,0] " + " ".join(["q2"] * n))
+    assert value.poly == Q2**n * shuffle_word([0, 0]).poly
+
+
+_NAMES = ["q", "q1", "q2"] + [f"z{i}" for i in range(1, 7)]
+
+
+@st.composite
+def _factor(draw):
+    """(text, value) of a number, a variable or a power of one, the value
+    built as its own LaurentPoly."""
+    if draw(st.booleans()):
+        text = draw(st.sampled_from(_NAMES))
+        base = Q1 * Q2 if text == "q" else LaurentPoly.variable(text)
+    else:
+        num, den = draw(st.integers(0, 9)), draw(st.integers(1, 4))
+        text = str(num) if den == 1 else f"{num}/{den}"
+        base = LaurentPoly.constant(Fraction(num, den))
+    e = draw(st.integers(-3, 3))
+    if e == 1 or (e < 0 and not base):  # the zero base has no negative power
+        return text, base
+    return (f"({text})^{e}" if "/" in text else f"{text}^{e}"), base**e
+
+
+@given(st.lists(_factor(), min_size=1, max_size=8))
+@example([("q", Q1 * Q2), ("q^-2", (Q1 * Q2) ** -2)])
+@example([("z1", z(1)), ("z1^-1", z(1, -1))])
+@example([("0", ZERO), ("z2", z(2))])
+@example([("3/4", LaurentPoly.constant(Fraction(3, 4))), ("z6", z(6))])
+@example([("2/3", LaurentPoly.constant(Fraction(2, 3))), ("3/2", LaurentPoly.constant(Fraction(3, 2)))])
+@settings(max_examples=150, deadline=None)
+def test_juxtaposed_product_matches_per_factor_product(factors):
+    text = " ".join(t for t, _ in factors)
+    got = parse_poly(text)
+    assert got == functools.reduce(operator.mul, (p for _, p in factors)), text
+    # the one term keeps an integral coefficient as an int
+    assert not any(isinstance(c, Fraction) and c.denominator == 1 for c in got.terms.values())
