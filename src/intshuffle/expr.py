@@ -23,17 +23,23 @@ scalar variables, and `q` is input sugar for q1 q2 (never printed).  The
 shuffle operator binds tighter than + and -, juxtaposition tighter than the
 shuffle operator.
 
-Every expression is classified bottom-up as a scalar (a Laurent polynomial)
-or a shuffle element of a definite arity; adding elements of different
-arities, shuffling a z-dependent scalar, or scaling an element by a scalar
-that is not symmetric in its variables are type errors reported with the
-character position.
+The parser types every node as it builds it: a scalar (a Laurent
+polynomial) with the largest z-index written in it, or a shuffle element of
+a definite arity.  Adding a scalar to an element or elements of different
+arities, juxtaposing or exponentiating elements, shuffling a z-dependent
+scalar, and scaling an element by a scalar with a z-index above its arity
+are type errors.  The parser keeps the first one it meets and raises it
+once the whole text has parsed, so a syntax error anywhere wins.
+Evaluation reports a scalar factor that is not symmetric and a negative
+power of a base that is not a monomial.  Every error carries its character
+position.
 
-Sums and juxtaposed products are flat nodes, walked in a loop, so their
-length is not bounded by the recursion limit.  A product of numbers,
-variables and their powers, such as a term `-3/4 q1^2 z2 z3^-1` of printed
-certificate text, evaluates to one term: exponents are added and
-coefficients multiplied, with no polynomial product per factor.
+While a juxtaposed product is still scalar, the parser folds its numbers,
+variables and their powers into one `Term` (exponents added, coefficients
+multiplied), so a term `-3/4 q1^2 z2 z3^-1` of printed certificate text is
+one node.  Evaluation is then a single walk of the tree.  Sums and
+juxtaposed products are flat nodes, walked in a loop, so their length is not
+bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -43,8 +49,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from ._terms_py import mono_mul
 from .errors import ArityMismatch, ExprSyntaxError, NotSymmetric
-from .poly import LaurentPoly, Q1, Q2, _slot, signed_sum, z
+from .poly import LaurentPoly, _slot, signed_sum
 from .shuffle import ShuffleElement, element_sum, one_variable, scalar, shuffle, shuffle_word
 
 Value = Union[LaurentPoly, ShuffleElement]
@@ -59,13 +66,12 @@ class Node:
 
 
 @dataclass(frozen=True)
-class Num(Node):
-    value: int | Fraction  # an int unless written with a denominator
+class Term(Node):
+    """coeff * prod(var_slot ^ exps[slot]): a product of numbers, variables
+    and their powers, with the slots of `poly.LaurentPoly` (exps trimmed)."""
 
-
-@dataclass(frozen=True)
-class Var(Node):
-    name: str  # q1, q2, q, or z<i>
+    exps: tuple[int, ...]
+    coeff: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -137,11 +143,27 @@ def _tokenize(text: str) -> list[_Token]:
 
 # -- parser --------------------------------------------------------------------
 
+SCALAR = "scalar"
+ELEMENT = "element"
+
+# What a parse method returns: (node, kind, n), with n the largest z-index
+# written in a SCALAR (0 when none) and the arity of an ELEMENT.  A number,
+# variable or power of a monomial comes back from `parse_power` as the plain
+# tuple (pos, exps, coeff) of a Term's fields, for `parse_juxt` to fold
+# without building a node.
+_Typed = tuple[Union[Node, tuple], str, int]
+
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        # the first type error met; a node is typed after its children
+        self.error: ArityMismatch | None = None
+
+    def type_error(self, pos: int, message: str) -> None:
+        if self.error is None:
+            self.error = ArityMismatch(pos, message)
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -152,7 +174,8 @@ class _Parser:
         return tok
 
     def at_sym(self, text: str) -> bool:
-        return self.tokens[self.i][:2] == ("SYM", text)
+        # no INT, NAME or END token has the text of a symbol
+        return self.tokens[self.i][1] == text
 
     def expect_sym(self, text: str) -> _Token:
         if not self.at_sym(text):
@@ -160,59 +183,104 @@ class _Parser:
         return self.advance()
 
     # expr := ['-'] term (('+'|'-') term)*
-    def parse_expr(self) -> Node:
-        terms = []
-        sign = 1
+    def parse_expr(self) -> _Typed:
         pos = self.peek()[2]
+        sign = 1
         if self.at_sym("-"):
             self.advance()
             sign = -1
-        while True:
-            terms.append((sign, pos, self.parse_term()))
-            pos = self.peek()[2]
-            if self.at_sym("+"):
-                sign = 1
-            elif self.at_sym("-"):
-                sign = -1
-            else:
-                break
-            self.advance()
-        if len(terms) == 1 and terms[0][0] == 1:
-            return terms[0][2]
+        node, kind, n = self.parse_term()
+        terms = [(sign, pos, node)]
+        while self.at_sym("+") or self.at_sym("-"):
+            sign, pos = (1 if self.at_sym("+") else -1), self.advance()[2]
+            node, rkind, rn = self.parse_term()
+            terms.append((sign, pos, node))
+            if kind != rkind:
+                self.type_error(pos, "cannot add a scalar and a shuffle element")
+            elif kind == ELEMENT and n != rn:
+                self.type_error(pos, f"cannot add elements of arity {n} and {rn}")
+            n = max(n, rn)
+        if len(terms) == 1 and sign == 1:
+            return node, kind, n
         # positioned at the last '+' or '-', the operator applied last
-        return Sum(terms[-1][1], tuple(terms))
+        return Sum(pos, tuple(terms)), kind, n
 
     # term := juxt ('*' juxt)*
-    def parse_term(self) -> Node:
-        node = self.parse_juxt()
+    def parse_term(self) -> _Typed:
+        node, kind, n = self.parse_juxt()
         while self.at_sym("*"):
             pos = self.advance()[2]
-            node = Shuf(pos, node, self.parse_juxt())
-        return node
+            right, rkind, rn = self.parse_juxt()
+            for side, side_kind, span in ((node, kind, n), (right, rkind, rn)):
+                if side_kind == SCALAR and span > 0:
+                    self.type_error(side.pos, "a z-dependent scalar is not a shuffle element")
+            n = (n if kind == ELEMENT else 0) + (rn if rkind == ELEMENT else 0)
+            node, kind = Shuf(pos, node, right), ELEMENT
+        return node, kind, n
 
     # juxt := power power*
-    def parse_juxt(self) -> Node:
-        factors = [(self.peek()[2], self.parse_power())]
+    def parse_juxt(self) -> _Typed:
+        """While the product is scalar, its monomials are folded into `run`,
+        which joins the other factors as one Term just before the first
+        element, or at the end.  Each factor after an element stays its own
+        factor, so the element is scaled by one factor at a time."""
+        factors: list[tuple[int, Node]] = []
+        kind, n = None, 0  # the type of the product so far
+        run = None  # (pos, exps, coeff) of the monomials folded so far
         while True:
-            kind, _, pos = self.peek()
-            if not (kind in ("INT", "NAME") or self.at_sym("(")):
+            tok, _, start = self.peek()
+            if kind is not None and tok not in ("INT", "NAME") and not self.at_sym("("):
                 break
-            factors.append((pos, self.parse_power()))
+            last = start
+            factor, fkind, fn = self.parse_power()
+            if kind != ELEMENT and type(factor) is tuple:
+                if run is not None:  # several monomials: positioned like a Juxt
+                    c = factor[2]  # 1 for a variable: skip the (Fraction) product
+                    factor = (start, mono_mul(run[1], factor[1]), run[2] if c == 1 else run[2] * c)
+                run, kind, n = factor, SCALAR, max(n, fn)
+                continue
+            if fkind == ELEMENT and run is not None:
+                factors.append((run[0], Term(*run)))
+                run = None
+            if type(factor) is tuple:
+                factor = Term(*factor)
+            factors.append((start, factor))
+            if kind is None or kind == fkind == SCALAR:
+                kind, n = fkind, max(n, fn)
+            elif kind == fkind:
+                self.type_error(start, "use '*' for the shuffle product of two elements")
+            else:
+                span, arity = (n, fn) if kind == SCALAR else (fn, n)
+                if span > arity:
+                    self.type_error(
+                        start, f"scalar factor uses z{span} but the element has arity {arity}"
+                    )
+                kind, n = ELEMENT, arity
+        if run is not None:
+            factors.append((run[0], Term(*run)))
         if len(factors) == 1:
-            return factors[0][1]
+            return factors[0][1], kind, n
         # positioned at the last factor, the one multiplied in last
-        return Juxt(factors[-1][0], tuple(factors))
+        return Juxt(last, tuple(factors)), kind, n
 
     # power := atom ['^' exponent]
-    def parse_power(self) -> Node:
-        node = self.parse_atom()
-        if self.at_sym("^"):
-            pos = self.advance()[2]
-            exponent = self.parse_exponent()
-            if isinstance(node, ZElt):
-                return ZElt(node.pos, exponent)
-            return Pow(pos, node, exponent)
-        return node
+    def parse_power(self) -> _Typed:
+        node, kind, n = self.parse_atom()
+        if not self.at_sym("^"):
+            return node, kind, n
+        pos = self.advance()[2]
+        e = self.parse_exponent()
+        if isinstance(node, ZElt):
+            return ZElt(node.pos, e), kind, n
+        if type(node) is tuple:
+            _, exps, c = node
+            if c or e >= 0:
+                power = tuple(x * e for x in exps) if e else ()
+                return (pos, power, c**e if e >= 0 else Fraction(c) ** e), kind, n
+            node = Term(*node)  # the zero base: evaluation reports the negative power
+        if kind == ELEMENT:
+            self.type_error(pos, "cannot exponentiate a shuffle element")
+        return Pow(pos, node, e), kind, n
 
     def parse_exponent(self) -> int:
         if self.at_sym("("):
@@ -235,7 +303,7 @@ class _Parser:
             sign = -1
         return sign * self.parse_int("an integer")
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self) -> _Typed:
         kind, name, pos = self.peek()
         if kind == "INT":
             value = self.parse_int("an integer")
@@ -246,26 +314,31 @@ class _Parser:
                 if den == 0:
                     raise ExprSyntaxError(den_pos, "zero denominator")
                 value = Fraction(value, den)
-            return Num(pos, value)
+            return (pos, (), value), SCALAR, 0
         if kind == "NAME":
             self.advance()
             if name == "sh":
                 return self.parse_word(pos)
             if name == "z":
-                return ZElt(pos, 1)
-            if name in ("q", "q1", "q2") or (
-                name.startswith("z") and name[1:].isdigit() and int(name[1:]) >= 1
-            ):
-                return Var(pos, name)
-            raise ExprSyntaxError(pos, f"unknown name {name!r}")
+                return ZElt(pos, 1), ELEMENT, 1
+            if name == "q":
+                return (pos, (1, 1), 1), SCALAR, 0
+            try:
+                slot = _slot(name)
+            except ValueError:
+                raise ExprSyntaxError(pos, f"unknown name {name!r}") from None
+            # slots 0 and 1 hold q1 and q2, slot i + 1 holds z_i
+            return (pos, (0,) * slot + (1,), 1), SCALAR, max(slot - 1, 0)
         if self.at_sym("("):
             self.advance()
-            node = self.parse_expr()
+            node, kind, n = self.parse_expr()
             self.expect_sym(")")
-            return node
+            if isinstance(node, Term):  # a monomial still: parse_juxt may fold it
+                node = (node.pos, node.exps, node.coeff)
+            return node, kind, n
         raise ExprSyntaxError(pos, "expected a value")
 
-    def parse_word(self, pos: int) -> Node:
+    def parse_word(self, pos: int) -> _Typed:
         self.expect_sym("[")
         exponents: list[int] = []
         if not self.at_sym("]"):
@@ -274,85 +347,18 @@ class _Parser:
                 self.advance()
                 exponents.append(self.parse_signed_int())
         self.expect_sym("]")
-        return WordLit(pos, tuple(exponents))
-
-
-# -- arity/kind inference --------------------------------------------------------
-
-SCALAR = "scalar"
-ELEMENT = "element"
-
-
-def infer(node: Node) -> tuple[str, int]:
-    """Kind of a node: (SCALAR, max z-index) or (ELEMENT, arity)."""
-    if isinstance(node, Num):
-        return (SCALAR, 0)
-    if isinstance(node, Var):
-        if node.name.startswith("z"):
-            return (SCALAR, int(node.name[1:]))
-        return (SCALAR, 0)
-    if isinstance(node, ZElt):
-        return (ELEMENT, 1)
-    if isinstance(node, WordLit):
-        return (ELEMENT, len(node.exponents))
-    if isinstance(node, Sum):
-        _, _, first = node.terms[0]
-        lk, ln = infer(first)
-        for _, pos, term in node.terms[1:]:
-            rk, rn = infer(term)
-            if lk != rk:
-                raise ArityMismatch(pos, "cannot add a scalar and a shuffle element")
-            if lk == ELEMENT and ln != rn:
-                raise ArityMismatch(
-                    pos, f"cannot add elements of arity {ln} and {rn}"
-                )
-            ln = max(ln, rn)
-        return (lk, ln)
-    if isinstance(node, Juxt):
-        _, first = node.factors[0]
-        lk, ln = infer(first)
-        for pos, factor in node.factors[1:]:
-            rk, rn = infer(factor)
-            if lk == SCALAR and rk == SCALAR:
-                ln = max(ln, rn)
-                continue
-            if lk == rk:
-                raise ArityMismatch(pos, "use '*' for the shuffle product of two elements")
-            scalar_z = ln if lk == SCALAR else rn
-            arity = rn if lk == SCALAR else ln
-            if scalar_z > arity:
-                raise ArityMismatch(
-                    pos, f"scalar factor uses z{scalar_z} but the element has arity {arity}"
-                )
-            lk, ln = ELEMENT, arity
-        return (lk, ln)
-    if isinstance(node, Shuf):
-        lk, ln = infer(node.left)
-        rk, rn = infer(node.right)
-        for kind, span, side in ((lk, ln, node.left), (rk, rn, node.right)):
-            if kind == SCALAR and span > 0:
-                raise ArityMismatch(
-                    side.pos, "a z-dependent scalar is not a shuffle element"
-                )
-        left_arity = ln if lk == ELEMENT else 0
-        right_arity = rn if rk == ELEMENT else 0
-        return (ELEMENT, left_arity + right_arity)
-    if isinstance(node, Pow):
-        kind, span = infer(node.base)
-        if kind != SCALAR:
-            raise ArityMismatch(node.pos, "cannot exponentiate a shuffle element")
-        return (SCALAR, span)
-    raise TypeError(f"unknown node {node!r}")
+        return WordLit(pos, tuple(exponents)), ELEMENT, len(exponents)
 
 
 def parse(text: str) -> Node:
     """Parse and type-check; raises ExprSyntaxError / ArityMismatch."""
     parser = _Parser(text)
-    node = parser.parse_expr()
+    node, _, _ = parser.parse_expr()
     kind, text, pos = parser.peek()
     if kind != "END":
         raise ExprSyntaxError(pos, f"unexpected {text!r}")
-    infer(node)
+    if parser.error is not None:
+        raise parser.error
     return node
 
 
@@ -361,29 +367,34 @@ def parse(text: str) -> Node:
 
 def evaluate(node: Node) -> Value:
     """Evaluate a type-checked tree to a LaurentPoly or ShuffleElement."""
-    if isinstance(node, Num):
-        return LaurentPoly.constant(node.value)
-    if isinstance(node, Var):
-        if node.name == "q":
-            return Q1 * Q2
-        if node.name == "q1":
-            return Q1
-        if node.name == "q2":
-            return Q2
-        return z(int(node.name[1:]))
+    if isinstance(node, Term):
+        return LaurentPoly({node.exps: node.coeff})
     if isinstance(node, ZElt):
         return one_variable(node.exponent)
     if isinstance(node, WordLit):
         return shuffle_word(node.exponents)
     if isinstance(node, Sum):
-        # `infer` has checked that all summands share one kind and arity
+        # the parser has checked that all summands share one kind and arity
         values = [(sign, evaluate(term)) for sign, _, term in node.terms]
         first = values[0][1]
         if isinstance(first, LaurentPoly):
             return signed_sum(values)
         return element_sum(first.arity, values)
     if isinstance(node, Juxt):
-        return _product(node.factors)
+        # the scalar prefix scales the first element at the element's position,
+        # and each later factor scales it at its own position
+        value = None
+        for pos, factor in node.factors:
+            operand = evaluate(factor)
+            if value is None:
+                value = operand
+            elif isinstance(value, ShuffleElement):
+                value = _scaled(value, operand, pos)
+            elif isinstance(operand, ShuffleElement):
+                value = _scaled(operand, value, pos)
+            else:
+                value = value * operand
+        return value
     if isinstance(node, Shuf):
         left = evaluate(node.left)
         right = evaluate(node.right)
@@ -401,65 +412,6 @@ def evaluate(node: Node) -> Value:
             )
         return base**node.exponent
     raise TypeError(f"unknown node {node!r}")
-
-
-def _product(factors: tuple[tuple[int, Node], ...]) -> Value:
-    """Left fold of a juxtaposed product.
-
-    While the running value is a scalar, numbers, variables and their powers
-    go into one pending term (exponents added, coefficients multiplied); the
-    term joins the other factors where an element is met, or at the end.  An
-    element is scaled by each later factor in turn, so a factor that is not
-    symmetric is reported at its own position.
-    """
-    exps: list[int] = []
-    coeff = 1
-    value: Value | None = None  # the product of the factors not in the term
-    for i, (pos, factor) in enumerate(factors):
-        if isinstance(value, ShuffleElement):
-            value = _scaled(value, evaluate(factor), pos)
-            continue
-        c = _term_factor(factor, exps)
-        if c is not None:
-            coeff *= c
-            continue
-        operand = evaluate(factor)
-        if isinstance(operand, LaurentPoly):
-            value = operand if value is None else value * operand
-        elif i:
-            value = _scaled(operand, _times_term(value, exps, coeff), pos)
-        else:
-            value = operand
-    if isinstance(value, ShuffleElement):
-        return value
-    return _times_term(value, exps, coeff)
-
-
-def _term_factor(node: Node, exps: list[int]) -> int | Fraction | None:
-    """Add the exponents of a number, variable or power of one to `exps` and
-    return its coefficient; None, with `exps` untouched, for any other node."""
-    e = 1
-    if isinstance(node, Pow):
-        node, e = node.base, node.exponent
-    if isinstance(node, Num):
-        if e >= 0:
-            return node.value**e
-        if not node.value:
-            return None  # `evaluate` reports the zero base
-        return 1 / Fraction(node.value) ** -e
-    if not isinstance(node, Var):
-        return None
-    for slot in (0, 1) if node.name == "q" else (_slot(node.name),):
-        if slot >= len(exps):
-            exps.extend([0] * (slot + 1 - len(exps)))
-        exps[slot] += e
-    return 1
-
-
-def _times_term(value: LaurentPoly | None, exps: list[int], coeff) -> LaurentPoly:
-    """value (1 when None) times the term coeff * prod(var_slot ^ exps[slot])."""
-    term = LaurentPoly({tuple(exps): coeff})
-    return term if value is None else value * term
 
 
 def _scaled(element: ShuffleElement, factor: LaurentPoly, pos: int) -> ShuffleElement:

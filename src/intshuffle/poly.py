@@ -32,7 +32,6 @@ from ._terms_py import (
     add_terms,
     addmul_into,
     div_binomial,
-    mul_monomial,
     mul_terms,
     neg_terms,
     permute_slots,
@@ -298,10 +297,7 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     if not p.terms:
         return ZERO
     if len(d.terms) == 1:
-        (mono, coeff), = d.terms.items()
-        inv = _norm_coeff(Fraction(1, 1) / coeff)
-        neg = trimmed(tuple(-e for e in mono))
-        return LaurentPoly._raw(mul_monomial(p.terms, neg, inv))
+        return p * d.inverse_monomial()
     binomial = _binomial_slots(d.terms)
     if binomial is not None:
         sa, sb, lead = binomial
@@ -379,27 +375,28 @@ def _binomial_slots(d_terms: dict):
 # -- substitution and z-relabelling ------------------------------------------
 
 
-def _coerce_poly(value) -> LaurentPoly:
-    if isinstance(value, LaurentPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return LaurentPoly.constant(value)
-    raise TypeError(f"cannot interpret {value!r} as a polynomial")
-
-
 def substitute(p: LaurentPoly, images: Mapping[str, Scalar]) -> LaurentPoly:
     """Simultaneously replace variables by polynomials.
 
     Ring-homomorphism contract: distributes over + and *.  A variable that
     occurs with a negative exponent must map to an invertible (single-term)
     monomial, otherwise NonInvertibleImage is raised.
+
+    Terms with the same exponents at the replaced slots form one group, which
+    is multiplied once by the product of those slots' image powers.
     """
-    slot_images = {_slot(name): _coerce_poly(value) for name, value in images.items()}
+    slot_images = {}
+    for name, value in images.items():
+        image = p._coerce(value)
+        if image is None:
+            raise TypeError(f"cannot interpret {value!r} as a polynomial")
+        slot_images[_slot(name)] = image
     if not slot_images or not p.terms:
         return p
+    slots = sorted(slot_images)
     power_cache: dict = {}
 
-    def image_power(slot: int, e: int) -> LaurentPoly:
+    def image_power(slot: int, e: int) -> dict:
         key = (slot, e)
         got = power_cache.get(key)
         if got is None:
@@ -408,22 +405,22 @@ def substitute(p: LaurentPoly, images: Mapping[str, Scalar]) -> LaurentPoly:
                 raise NonInvertibleImage(
                     f"{_slot_name(slot)}^{e}: image is not an invertible monomial"
                 )
-            got = img**e
-            power_cache[key] = got
+            got = power_cache[key] = (img**e).terms
         return got
 
-    total: dict = {}
+    groups: dict = {}  # exponents at the replaced slots -> the rest of each term
     for mono, coeff in p.terms.items():
-        kept = list(mono)
-        factors: list[LaurentPoly] = []
-        for slot, e in enumerate(mono):
-            if e and slot in slot_images:
-                kept[slot] = 0
-                factors.append(image_power(slot, e))
-        term = LaurentPoly._raw({trimmed(tuple(kept)): coeff})
-        for f in factors:
-            term = term * f
-        add_into(total, term.terms)
+        kept = list(mono) + [0] * (slots[-1] + 1 - len(mono))
+        key = tuple([kept[slot] for slot in slots])
+        for slot in slots:
+            kept[slot] = 0
+        groups.setdefault(key, {})[trimmed(tuple(kept))] = coeff
+    total: dict = {}
+    for key, rest in groups.items():
+        for slot, e in zip(slots, key):
+            if e:
+                rest = mul_terms(rest, image_power(slot, e))
+        add_into(total, rest)
     return LaurentPoly._raw(total)
 
 

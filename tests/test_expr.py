@@ -118,6 +118,41 @@ def test_asymmetric_scaling_rejected_at_eval():
     assert "scalar factor must be symmetric in z1..z2" in str(err.value)
 
 
+_OUTCOMES = [
+    # a syntax error anywhere wins over a type error met before it
+    ("sh[0,0] + sh[0] +", ExprSyntaxError, 17, "expected a value"),
+    # a type error wins over an evaluation error met before it
+    ("z1 sh[0,0] + sh[0]", ArityMismatch, 11, "cannot add elements of arity 2 and 1"),
+    ("(q1+q2)^-1 + sh[0]", ArityMismatch, 11, "cannot add a scalar and a shuffle element"),
+    # a power sits at its '^', a product of several factors at its last factor
+    ("z1^2 * sh[0]", ArityMismatch, 2, "a z-dependent scalar is not a shuffle element"),
+    ("q1 z1 * sh[0]", ArityMismatch, 3, "a z-dependent scalar is not a shuffle element"),
+    # a written z-index counts even when its exponent or the value is 0
+    ("z3^0 sh[0,0]", ArityMismatch, 5, "scalar factor uses z3 but the element has arity 2"),
+    ("(z3 - z3) sh[0,0]", ArityMismatch, 10, "scalar factor uses z3 but the element has arity 2"),
+    ("0^-1 q1", ArityMismatch, 1, "negative powers need an invertible monomial base"),
+    # each factor after an element scales it on its own
+    ("sh[0,0] z1 z2", ArityMismatch, 8, "scalar factor must be symmetric in z1..z2"),
+]
+
+
+@pytest.mark.parametrize("text, error, position, message", _OUTCOMES)
+def test_expression_error_outcomes(text, error, position, message):
+    with pytest.raises(error) as err:
+        eval_text(text)
+    assert type(err.value) is error
+    assert err.value.position == position
+    assert str(err.value) == f"at position {position}: {message}"
+
+
+def test_scalar_prefix_scales_the_element():
+    value = eval_text("z1 z2 sh[0,0]")
+    assert value.arity == 2 and value.poly == z(1) * z(2) * shuffle_word([0, 0]).poly
+    value = eval_text("2 (q1 + q2) 3/2 sh[0] q")
+    assert value.arity == 1 and value.poly == 3 * (Q1 + Q2) * Q1 * Q2
+    assert str(value) == "3 q1^2 q2 + 3 q1 q2^2"
+
+
 def test_as_element_symmetry_guard():
     assert as_element(eval_text("z1 + z2")).arity == 2
     with pytest.raises(ValueError):

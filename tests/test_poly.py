@@ -233,6 +233,48 @@ def test_relabel_z_matches_per_term_reference(p, mapping):
             relabel_z(p, mapping)
 
 
+_SLOT_NAMES = ("q1", "q2", "z1", "z2", "z3")  # the five slots of _polys()
+
+
+def _substitute_per_term(p, images):
+    """Reference substitution: rebuild each term from the images of its factors."""
+    out = LaurentPoly.zero()
+    for mono, c in p.terms.items():
+        term = LaurentPoly.constant(c)
+        for name, e in zip(_SLOT_NAMES, mono):
+            base = images.get(name, LaurentPoly.variable(name))
+            if e < 0 and len(base.terms) != 1:
+                raise NonInvertibleImage(name)
+            term = term * base**e
+        out = out + term
+    return out
+
+
+# monomial images with coefficient -1 or negative exponents, images that merge
+# two variables, polynomial images and the zero image
+_images = st.dictionaries(
+    st.sampled_from(_SLOT_NAMES),
+    st.sampled_from([-z(1), Q * z(3), z(1), z(2), -3 * Q2**-1 * z(3) ** -2,
+                     z(2) + Q1, 1 - z(1) * z(3), LaurentPoly.zero()]),
+    max_size=3,
+)
+
+
+@given(_polys(), _images)
+@example(z(1) * z(2) ** -1 + z(2), {"z2": -z(1)})
+@example(z(1) ** -1 * z(3) + Q1, {"z1": Q * z(3), "z3": z(1)})
+@example(z(2) ** -1 + z(1), {"z2": z(1) + z(2)})
+@settings(max_examples=200, deadline=None)
+def test_substitute_matches_per_term_reference(p, images):
+    try:
+        expected = _substitute_per_term(p, images)
+    except NonInvertibleImage:
+        with pytest.raises(NonInvertibleImage):
+            substitute(p, images)
+        return
+    assert substitute(p, images) == expected
+
+
 @given(_polys(), _polys())
 @settings(max_examples=40, deadline=None)
 def test_homogeneous_mul_adds_degree(a, b):
