@@ -58,7 +58,7 @@ def _emit(args, payload: dict, text: str) -> None:
 def _cmd_expand(args) -> int:
     value = eval_text(args.expr)
     if isinstance(value, ShuffleElement):
-        text = render(value.poly)
+        text = str(value)
         payload = {"schema": 1, "kind": "element", "arity": value.arity, "poly": text}
     else:
         text = render(value)

@@ -174,7 +174,7 @@ class IdealCertificate:
         if isinstance(self.target, GeneratorWord):
             target = list(self.target.exponents)
         else:
-            target = render(self.target.poly)
+            target = str(self.target)
         payload = {
             "schema": 1,
             "target": target,

@@ -16,15 +16,20 @@ product q1*q2.
 Monomial order (used for exact division and for canonical printing): graded
 lexicographic on exponent vectors, scanning q1, q2, z1, ..., zk, taken after
 shifting exponents to be nonnegative where well-foundedness matters.  The
-canonical text rendering sorts terms descending in this order, prints
-coefficients as reduced fractions and exponents as `q1^a q2^b z1^c ...`,
-omitting exponent 1 and unit factors.
+canonical text lists terms descending in this order, prints coefficients as
+reduced fractions and exponents as `q1^a q2^b z1^c ...`, omitting exponent 1
+and unit factors.  One formatter writes it from terms grouped by (total
+degree, q1 exponent, q2 exponent), each group a list of z-parts: `render`
+fills the groups from a term map, and `schur.render_alternant` fills them
+from a symmetric element's orbit representatives without building its
+monomials.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 from ._terms_py import (
@@ -472,43 +477,71 @@ def is_symmetric(p: LaurentPoly, k: int) -> bool:
 # -- canonical rendering ------------------------------------------------------
 
 
-def _sort_key(width: int):
-    def key(item):
-        mono = item[0]
-        padded = mono + (0,) * (width - len(mono))
-        return (sum(mono), padded)
-
-    return key
-
-
 def _coeff_str(c: Coefficient) -> str:
     if isinstance(c, Fraction) and c.denominator != 1:
         return f"{c.numerator}/{c.denominator}"
     return str(int(c))
 
 
+def _render_groups(groups: dict) -> str:
+    """Canonical text of terms grouped by (total degree, q1 exponent, q2
+    exponent), each group a list of (z-exponents, coefficient) with the
+    z-parts of one width and distinct within a group.
+
+    Descending group keys, then descending z-parts, is the descending
+    graded-lex order of the monomials.  The text of each (slot, exponent)
+    factor and of each z-part is built once.  `groups` is emptied.
+    """
+    if not groups:
+        return "0"
+    factors: dict = {}  # (slot, exponent) -> factor text such as `z2^3`
+    ztexts: dict = {}  # z-part -> its factors' text
+
+    def text(slot_exponents) -> str:
+        names = []
+        for key in slot_exponents:
+            if key[1]:
+                name = factors.get(key)
+                if name is None:
+                    slot, e = key
+                    name = factors[key] = _slot_name(slot) + (f"^{e}" if e != 1 else "")
+                names.append(name)
+        return " ".join(names)
+
+    heads: dict = {}  # coefficient -> its sign and magnitude, as "+ " or "- 3/4 "
+    chunks: list[str] = []  # the text of each group, the group freed once written
+    for key in sorted(groups, reverse=True):
+        qtext = text(((0, key[1]), (1, key[2])))
+        group = groups.pop(key)
+        group.sort(key=itemgetter(0), reverse=True)
+        pieces = []
+        for zpart, coeff in group:
+            body = ztexts.get(zpart)
+            if body is None:
+                body = ztexts[zpart] = text(enumerate(zpart, _Q_SLOTS))
+            if qtext:
+                body = qtext + " " + body if body else qtext
+            head = heads.get(coeff)
+            if head is None:
+                mag = abs(coeff)
+                head = heads[coeff] = ("- " if coeff < 0 else "+ ") + (
+                    "" if mag == 1 else _coeff_str(mag) + " ")
+            if body:
+                pieces.append(head + body)
+            else:  # the constant term
+                pieces.append(head[:2] + _coeff_str(abs(coeff)))
+        chunks.append(" ".join(pieces))
+    first = chunks[0]
+    chunks[0] = "-" + first[2:] if first[0] == "-" else first[2:]
+    return " ".join(chunks)
+
+
 def render(p: LaurentPoly) -> str:
     """Canonical text form: descending monomial order, reduced fractions."""
-    if not p.terms:
-        return "0"
-    width = max(len(m) for m in p.terms)
-    pieces: list[str] = []
-    for mono, coeff in sorted(p.terms.items(), key=_sort_key(width), reverse=True):
-        factors = [
-            _slot_name(slot) + (f"^{e}" if e != 1 else "")
-            for slot, e in enumerate(mono)
-            if e
-        ]
-        negative = coeff < 0
-        mag = -coeff if negative else coeff
-        if not factors:
-            body = _coeff_str(mag)
-        elif mag == 1:
-            body = " ".join(factors)
-        else:
-            body = _coeff_str(mag) + " " + " ".join(factors)
-        if not pieces:
-            pieces.append("-" + body if negative else body)
-        else:
-            pieces.append(("- " if negative else "+ ") + body)
-    return " ".join(pieces)
+    width = max(map(len, p.terms), default=0)
+    pad = (0,) * max(width, _Q_SLOTS)
+    groups: dict = {}
+    for mono, coeff in p.terms.items():
+        mono += pad[len(mono):]
+        groups.setdefault((sum(mono), mono[0], mono[1]), []).append((mono[_Q_SLOTS:], coeff))
+    return _render_groups(groups)

@@ -23,7 +23,12 @@ straightens: f a_alpha = sum_beta f_beta a_{alpha + beta} over the
 monomials beta of f, and a_gamma is 0 when gamma repeats an entry, else the
 permutation sign times a_{sorted gamma} (`alternant`).  With the factor
 V = a_delta this reads the coefficients of f off its monomials.
-`from_alternant` expands coefficients back into monomials.
+
+Going back, `monomial_coefficients` gives f on the monomial symmetric basis,
+content mu -> {q-part: c}, through the Kostka numbers.  `from_alternant`
+expands each content's orbit (its distinct rearrangements) into monomials,
+and `render_alternant` writes the canonical text of f straight from these
+(content, q-part) representatives: the monomials are never built.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from functools import lru_cache
 from operator import add
 
 from ._terms_py import add_into, mul_terms, trimmed
-from .poly import LaurentPoly
+from .poly import LaurentPoly, _render_groups
 
 
 @lru_cache(maxsize=1 << 16)
@@ -91,10 +96,11 @@ def alternant(f: LaurentPoly, n: int, base: dict | None = None) -> dict:
     return straighten_sum(base, group_by_z(f.terms, n).items())
 
 
-def from_alternant(coeffs: dict, n: int) -> LaurentPoly:
-    """The symmetric f = sum_alpha c_alpha s_{alpha - delta} in z1..zn, in monomials."""
+def monomial_coefficients(coeffs: dict, n: int) -> dict:
+    """The symmetric f = sum_alpha c_alpha s_{alpha - delta} in z1..zn on the
+    monomial symmetric basis: content mu (weakly decreasing) -> {q-part: c},
+    with no zero c and no empty row."""
     delta = tuple(range(n - 1, -1, -1))
-    # mu (shifted) -> {q-part: coefficient}
     by_content: dict = {}
     for alpha, row in coeffs.items():
         t = alpha[-1] if alpha else 0
@@ -105,19 +111,43 @@ def from_alternant(coeffs: dict, n: int) -> LaurentPoly:
                 acc[qpart] = acc.get(qpart, 0) + k * c
     out: dict = {}
     for content, acc in by_content.items():
+        row = {qpart: c for qpart, c in acc.items() if c}
+        if row:
+            out[content] = row
+    return out
+
+
+def from_alternant(coeffs: dict, n: int) -> LaurentPoly:
+    """The symmetric f = sum_alpha c_alpha s_{alpha - delta} in z1..zn, in monomials."""
+    out: dict = {}
+    for content, row in monomial_coefficients(coeffs, n).items():
         orbit = _orbit(content)
-        for qpart, c in acc.items():
-            if c:
-                qpart = (qpart + (0, 0))[:2]
-                for zpart in orbit:
-                    out[trimmed(qpart + zpart)] = c
+        for qpart, c in row.items():
+            qpart = (qpart + (0, 0))[:2]
+            for zpart in orbit:
+                out[trimmed(qpart + zpart)] = c
     return LaurentPoly._raw(out)
+
+
+def render_alternant(coeffs: dict, n: int) -> str:
+    """`render(from_alternant(coeffs, n))`, written from each content's orbit
+    without building the monomials: a content's orbit and q-part fill one
+    group of the formatter, and orbits of distinct contents are disjoint."""
+    groups: dict = {}
+    for content, row in monomial_coefficients(coeffs, n).items():
+        degree = sum(content)
+        orbit = _orbit(content)
+        for qpart, c in row.items():
+            q1, q2 = (qpart + (0, 0))[:2]
+            group = groups.setdefault((degree + q1 + q2, q1, q2), [])
+            group.extend(zip(orbit, itertools.repeat(c)))
+    return _render_groups(groups)
 
 
 @lru_cache(maxsize=4096)
 def _orbit(content: tuple) -> tuple:
-    """The distinct rearrangements of an exponent vector."""
-    return tuple(set(itertools.permutations(content)))
+    """The distinct rearrangements of an exponent vector, in descending order."""
+    return tuple(sorted(set(itertools.permutations(content)), reverse=True))
 
 
 @lru_cache(maxsize=4096)
@@ -156,19 +186,20 @@ def _kostka(shape: tuple, content: tuple) -> int:
         return 0
     if not rows:
         return 1
-    return sum(
-        _kostka(inner, content[:-1]) for inner in _strips(shape, content[-1], 0)
-    )
+    return sum(_kostka(inner, content[:-1]) for inner in _strips(shape, content[-1]))
 
 
-def _strips(shape: tuple, size: int, i: int):
-    """Shapes inner with shape / inner a horizontal strip of `size` boxes,
-    as the tuple of their parts from row i on."""
-    if i == len(shape):
-        if not size:
-            yield ()
-        return
-    floor = shape[i + 1] if i + 1 < len(shape) else 0
-    for take in range(min(size, shape[i] - floor) + 1):
-        for rest in _strips(shape, size - take, i + 1):
-            yield (shape[i] - take,) + rest
+@lru_cache(maxsize=1 << 14)
+def _strips(shape: tuple, size: int) -> tuple:
+    """The shapes inner with shape / inner a horizontal strip of `size` boxes."""
+    # (parts of inner so far, boxes left to take); rows below row i can give
+    # up at most shape[i + 1] boxes, so row i takes at least left - shape[i + 1]
+    partial = [((), size)]
+    for i, part in enumerate(shape):
+        floor = shape[i + 1] if i + 1 < len(shape) else 0
+        partial = [
+            (inner + (part - take,), left - take)
+            for inner, left in partial
+            for take in range(max(left - floor, 0), min(left, part - floor) + 1)
+        ]
+    return tuple(inner for inner, left in partial if not left)

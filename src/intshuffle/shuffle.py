@@ -44,7 +44,7 @@ from .poly import (
     signed_sum,
     z,
 )
-from .schur import alternant, from_alternant, group_by_z, straighten_sum
+from .schur import alternant, from_alternant, group_by_z, render_alternant, straighten_sum
 
 
 class ShuffleElement:
@@ -111,10 +111,10 @@ class ShuffleElement:
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        return f"ShuffleElement(arity={self.arity}, poly={self.poly!r})"
+        return f"ShuffleElement(arity={self.arity}, poly=LaurentPoly({str(self)!r}))"
 
     def __str__(self) -> str:
-        return str(self.poly)
+        return render_alternant(self.coeffs, self.arity)
 
 
 def element_sum(arity: int, terms: Iterable[tuple[int, ShuffleElement]]) -> ShuffleElement:

@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from intshuffle.cli import main
 from intshuffle.conditions import IdealCertificate, ideal_certificate, verify_ideal_certificate
-from intshuffle.poly import LaurentPoly
+from intshuffle.poly import LaurentPoly, render
+from intshuffle.shuffle import shuffle_word
 
 GOLDEN_00 = (
     "-q1^2 q2^2 z1 z2 - q1^2 q2 z1 z2 - q1 q2^2 z1 z2 + 2 q1 q2 z1^2"
@@ -58,6 +60,28 @@ def test_expand_arity_five(capsys):
     assert code == 0
     assert 1 + out.count(" + ") + out.count(" - ") == 213471
     assert hashlib.md5(out.encode()).hexdigest() == "c41d455c7ae25b60752bbadfe10d8d4a"
+
+
+def test_expand_largest_bench_word(capsys):
+    code, out, _ = run(capsys, "expand", "sh[-3,3,-3,3]")
+    assert code == 0
+    assert 1 + out.count(" + ") + out.count(" - ") == 81407
+    assert hashlib.md5(out.encode()).hexdigest() == "dfacc3525f386473744140674e7b11ef"
+
+
+def test_expand_never_expands_to_monomials(monkeypatch, capsys):
+    # an element's text comes from its orbit representatives, so the
+    # monomial view (`ShuffleElement.poly`) is never built
+    def refuse(coeffs, n):
+        raise AssertionError("expanded to monomials")
+
+    monkeypatch.setattr(sys.modules["intshuffle.shuffle"], "from_alternant", refuse)
+    code, out, _ = run(capsys, "expand", "sh[1,0,0,2]")
+    code_json, out_json, _ = run(capsys, "expand", "--json", "sh[0,0,0]")
+    monkeypatch.undo()
+    assert (code, out) == (0, render(shuffle_word([1, 0, 0, 2]).poly) + "\n")
+    assert code_json == 0
+    assert json.loads(out_json)["poly"] == render(shuffle_word([0, 0, 0]).poly)
 
 
 def test_determinism(capsys):

@@ -19,6 +19,7 @@ from intshuffle.poly import (
     substitute,
     z,
 )
+from intshuffle.shuffle import element_sum, shuffle_word, sym
 
 Q = Q1 * Q2
 
@@ -332,3 +333,86 @@ def test_mul_rejects_exponents_past_packing():
     big = LaurentPoly({(2**62,): 1, (0, 1): 1})
     with pytest.raises(ValueError):
         big * big
+
+
+# -- canonical text against a sort of the whole term map ------------------------
+
+
+def _reference_render(p):
+    """The canonical text by sorting every term on its padded exponents."""
+    if not p.terms:
+        return "0"
+    width = max(len(m) for m in p.terms)
+
+    def key(item):
+        mono = item[0]
+        return (sum(mono), mono + (0,) * (width - len(mono)))
+
+    pieces = []
+    for mono, coeff in sorted(p.terms.items(), key=key, reverse=True):
+        factors = [
+            (f"z{slot - 1}" if slot > 1 else f"q{slot + 1}") + (f"^{e}" if e != 1 else "")
+            for slot, e in enumerate(mono)
+            if e
+        ]
+        negative = coeff < 0
+        mag = -coeff if negative else coeff
+        mag_text = str(mag) if isinstance(mag, Fraction) else str(int(mag))
+        if not factors:
+            body = mag_text
+        elif mag == 1:
+            body = " ".join(factors)
+        else:
+            body = mag_text + " " + " ".join(factors)
+        if not pieces:
+            pieces.append("-" + body if negative else body)
+        else:
+            pieces.append(("- " if negative else "+ ") + body)
+    return " ".join(pieces)
+
+
+_fraction_coeffs = st.one_of(_coeffs, st.fractions(min_value=-3, max_value=3, max_denominator=5))
+
+
+@st.composite
+def _mixed_polys(draw):
+    """Negative exponents, fractions, constant terms and keys of mixed width."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        mono = tuple(draw(st.integers(-3, 3)) for _ in range(draw(st.integers(0, 6))))
+        terms[mono] = draw(_fraction_coeffs)
+    return LaurentPoly(terms)
+
+
+@given(_mixed_polys())
+@settings(max_examples=300, deadline=None)
+def test_render_matches_sorted_reference(p):
+    assert render(p) == _reference_render(p)
+
+
+@st.composite
+def _elements(draw):
+    """Sums of words of one arity 0-4, each scaled by c q1^a q2^b or by a
+    symmetric z-polynomial; the sums need not be homogeneous."""
+    k = draw(st.integers(min_value=0, max_value=4))
+    out = element_sum(k, ())
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        word = shuffle_word(draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)))
+        if draw(st.booleans()):
+            c = draw(_fraction_coeffs.filter(bool))
+            scalar = c * Q1 ** draw(st.integers(-2, 2)) * Q2 ** draw(st.integers(-2, 2))
+        else:
+            # an elementary symmetric polynomial times a power of z1...zk
+            shift = draw(st.integers(-1, 0))
+            mono = LaurentPoly.constant(draw(_fraction_coeffs.filter(bool)))
+            for i in range(1, k + 1):
+                mono = mono * z(i, shift + draw(st.integers(0, 1)))
+            scalar = sym(mono, k)
+        out = out + word.scaled(scalar)
+    return out
+
+
+@given(_elements())
+@settings(max_examples=40, deadline=None)
+def test_element_text_matches_sorted_reference(element):
+    assert str(element) == _reference_render(element.poly)

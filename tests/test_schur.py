@@ -3,11 +3,19 @@ exact division by the Vandermonde."""
 
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
 from intshuffle.poly import Q1, Q2, LaurentPoly, is_symmetric, z
-from intshuffle.schur import _kostka, alternant, from_alternant, group_by_z, straighten
+from intshuffle.schur import (
+    _kostka,
+    _schur_row,
+    alternant,
+    from_alternant,
+    group_by_z,
+    straighten,
+)
 from intshuffle.shuffle import _divide_vandermonde, _vandermonde, sym
 
 
@@ -24,6 +32,57 @@ from intshuffle.shuffle import _divide_vandermonde, _vandermonde, sym
 )
 def test_kostka_numbers(shape, content, count):
     assert _kostka(shape + (0,) * (len(content) - len(shape)), content) == count
+
+
+@lru_cache(maxsize=None)
+def _reference_kostka(shape, content):
+    """Kostka numbers by removing the largest entry's horizontal strip, each
+    strip found by a fresh recursion over the rows."""
+    rows = len(content)
+    if any(shape[rows:]):
+        return 0
+    if not rows:
+        return 1
+    return sum(
+        _reference_kostka(inner, content[:-1])
+        for inner in _reference_strips(shape, content[-1], 0)
+    )
+
+
+def _reference_strips(shape, size, i):
+    if i == len(shape):
+        if not size:
+            yield ()
+        return
+    floor = shape[i + 1] if i + 1 < len(shape) else 0
+    for take in range(min(size, shape[i] - floor) + 1):
+        for rest in _reference_strips(shape, size - take, i + 1):
+            yield (shape[i] - take,) + rest
+
+
+def _partitions(size, parts, largest):
+    """Partitions of `size` into exactly `parts` parts (zeros allowed), each at most `largest`."""
+    if not parts:
+        if not size:
+            yield ()
+        return
+    for first in range(min(size, largest), -1, -1):
+        for rest in _partitions(size - first, parts - 1, first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_schur_rows_match_reference_kostka(n):
+    # every shape with at most 5 parts and at most 10 boxes
+    for size in range(11):
+        partitions = list(_partitions(size, n, size))
+        for shape in partitions:
+            row = dict(_schur_row(shape))
+            assert set(row) <= set(partitions)
+            for content in partitions:
+                expected = _reference_kostka(shape, content)
+                assert row.get(content, 0) == expected
+                assert _kostka(shape, content) == expected
 
 
 def _random_symmetric(rng, n):
