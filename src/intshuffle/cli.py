@@ -149,13 +149,11 @@ def _cmd_props(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # global flags are accepted both before and after the subcommand; the
-    # SUPPRESS defaults keep the subparser from clobbering a root-level value
+    # --json is accepted both before and after the subcommand; the SUPPRESS
+    # default keeps the subparser from clobbering a root-level value
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit JSON output")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized commands")
 
     parser = argparse.ArgumentParser(
         prog="intshuffle",
@@ -163,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", default=False,
                         help=argparse.SUPPRESS)
-    parser.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", parents=[common],
@@ -219,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("props", parents=[common],
                        help="run randomized property checks")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random choices")
     p.add_argument("--trials", type=int, default=5)
     p.set_defaults(func=_cmd_props)
 

@@ -5,16 +5,10 @@ p = sum_alpha c_alpha a_alpha over strictly decreasing exponent vectors
 alpha, where a_alpha = sum_sigma sign(sigma) z^sigma(alpha) and c_alpha is
 the coefficient of z^alpha in p (the q-exponents ride along in c_alpha).
 With V = prod_{i<j}(z_i - z_j) = a_delta, delta = (n-1, ..., 1, 0), a
-symmetric f is fixed by the alternant coefficients of f*V, and
-
-    f = (f V) / V = sum_alpha c_alpha s_{alpha - delta},
-    s_lambda = sum_mu K(lambda, mu) m_mu,
-
-where s_lambda is a Schur polynomial, m_mu the monomial symmetric
-polynomial of the partition mu and K(lambda, mu) the Kostka number: the
-count of semistandard tableaux of shape lambda and content mu.  Laurent
-exponents are handled by s_lambda = e_n^t s_{lambda - t}, which shifts
-lambda and mu by the same t; for n = 0, f is the coefficient of a_().
+symmetric f is fixed by the alternant coefficients of f*V: by the
+bialternant formula f = sum_alpha c_alpha s_{alpha - delta}, with
+s_lambda = a_{lambda + delta} / V the Schur polynomial.  Exponents may be
+negative throughout; for n = 0, f is the coefficient of a_().
 
 Alternant coefficients are kept as a dict alpha -> {q-part: c}, where the
 q-part is a trimmed exponent tuple over q1, q2 and no row is empty: the
@@ -25,17 +19,21 @@ permutation sign times a_{sorted gamma} (`alternant`).  With the factor
 V = a_delta this reads the coefficients of f off its monomials.
 
 Going back, `monomial_coefficients` gives f on the monomial symmetric basis,
-content mu -> {q-part: c}, through the Kostka numbers.  `from_alternant`
-expands each content's orbit (its distinct rearrangements) into monomials,
-and `render_alternant` writes the canonical text of f straight from these
-(content, q-part) representatives: the monomials are never built.
+content mu -> {q-part: c}, by inverting the same map: m_mu V straightens to
+a_{mu + delta} plus alternants below it in lex order, so the largest
+alternant left names the next content (back-substitution).
+`from_alternant` expands each content's orbit (its distinct rearrangements)
+into monomials, and `render_alternant` writes the canonical text of f
+straight from these (content, q-part) representatives: the monomials are
+never built.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 
 from ._terms_py import add_into, mul_terms, trimmed
 from .poly import LaurentPoly, _render_groups
@@ -99,21 +97,37 @@ def alternant(f: LaurentPoly, n: int, base: dict | None = None) -> dict:
 def monomial_coefficients(coeffs: dict, n: int) -> dict:
     """The symmetric f = sum_alpha c_alpha s_{alpha - delta} in z1..zn on the
     monomial symmetric basis: content mu (weakly decreasing) -> {q-part: c},
-    with no zero c and no empty row."""
+    with no zero c and no empty row.
+
+    m_mu V = sum over the orbit beta of mu of a_{beta + delta}, whose largest
+    alternant is a_{mu + delta}; so the largest alternant left in f V gives
+    the next content, and subtracting its m_mu V leaves smaller ones only.
+    """
     delta = tuple(range(n - 1, -1, -1))
-    by_content: dict = {}
-    for alpha, row in coeffs.items():
-        t = alpha[-1] if alpha else 0
-        shape = tuple(a - d - t for a, d in zip(alpha, delta))
-        for content, k in _schur_row(shape):
-            acc = by_content.setdefault(tuple(e + t for e in content), {})
-            for qpart, c in row.items():
-                acc[qpart] = acc.get(qpart, 0) + k * c
+    # the rows are copied: the word cache hands the same dicts to every caller
+    left = {alpha: dict(row) for alpha, row in coeffs.items()}
+    heap = [tuple(-a for a in alpha) for alpha in left]
+    heapq.heapify(heap)
     out: dict = {}
-    for content, acc in by_content.items():
-        row = {qpart: c for qpart, c in acc.items() if c}
-        if row:
-            out[content] = row
+    while heap:
+        alpha = tuple(-a for a in heapq.heappop(heap))
+        row = left.pop(alpha)
+        if not row:
+            continue
+        # alpha - delta weakly decreases, so it heads its own (descending)
+        # orbit; every other beta + delta straightens to some gamma below
+        # alpha in lex order, so a popped alpha is never created again
+        content = tuple(map(sub, alpha, delta))
+        out[content] = row
+        for beta in _orbit(content)[1:]:
+            got = straighten(tuple(map(add, beta, delta)))
+            if got is not None:
+                sign, gamma = got
+                target = left.get(gamma)
+                if target is None:
+                    target = left[gamma] = {}
+                    heapq.heappush(heap, tuple(-g for g in gamma))
+                add_into(target, row, -sign)
     return out
 
 
@@ -148,58 +162,3 @@ def render_alternant(coeffs: dict, n: int) -> str:
 def _orbit(content: tuple) -> tuple:
     """The distinct rearrangements of an exponent vector, in descending order."""
     return tuple(sorted(set(itertools.permutations(content)), reverse=True))
-
-
-@lru_cache(maxsize=4096)
-def _schur_row(shape: tuple) -> tuple:
-    """(mu, K(shape, mu)) for every partition mu of |shape| that shape dominates."""
-    return tuple(
-        (content, _kostka(shape, content))
-        for content in _dominated(shape, sum(shape), 0, max(shape, default=0))
-    )
-
-
-def _dominated(shape: tuple, left: int, i: int, largest: int):
-    """Partitions (len(shape) parts, the first at most `largest`) of `left`
-    whose prefix sums from part i on stay at or below those of shape."""
-    n = len(shape)
-    if i == n:
-        if not left:
-            yield ()
-        return
-    room = sum(shape[: i + 1]) - (sum(shape) - left)
-    for part in range(min(largest, left, room), -1, -1):
-        if part * (n - i) < left:
-            break
-        for rest in _dominated(shape, left - part, i + 1, part):
-            yield (part,) + rest
-
-
-@lru_cache(maxsize=1 << 16)
-def _kostka(shape: tuple, content: tuple) -> int:
-    """Semistandard tableaux of `shape` holding content[i] entries i + 1.
-
-    The largest entry fills a horizontal strip; remove it and recurse.
-    """
-    rows = len(content)
-    if any(shape[rows:]):
-        return 0
-    if not rows:
-        return 1
-    return sum(_kostka(inner, content[:-1]) for inner in _strips(shape, content[-1]))
-
-
-@lru_cache(maxsize=1 << 14)
-def _strips(shape: tuple, size: int) -> tuple:
-    """The shapes inner with shape / inner a horizontal strip of `size` boxes."""
-    # (parts of inner so far, boxes left to take); rows below row i can give
-    # up at most shape[i + 1] boxes, so row i takes at least left - shape[i + 1]
-    partial = [((), size)]
-    for i, part in enumerate(shape):
-        floor = shape[i + 1] if i + 1 < len(shape) else 0
-        partial = [
-            (inner + (part - take,), left - take)
-            for inner, left in partial
-            for take in range(max(left - floor, 0), min(left, part - floor) + 1)
-        ]
-    return tuple(inner for inner, left in partial if not left)

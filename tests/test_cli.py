@@ -69,6 +69,13 @@ def test_expand_largest_bench_word(capsys):
     assert hashlib.md5(out.encode()).hexdigest() == "dfacc3525f386473744140674e7b11ef"
 
 
+def test_expand_laurent_arity_five(capsys):
+    code, out, _ = run(capsys, "expand", "sh[0,0,0,0,-1]")
+    assert code == 0
+    assert 1 + out.count(" + ") + out.count(" - ") == 321500
+    assert hashlib.md5(out.encode()).hexdigest() == "2be57b99156bf556991aad2cb033b20a"
+
+
 def test_expand_never_expands_to_monomials(monkeypatch, capsys):
     # an element's text comes from its orbit representatives, so the
     # monomial view (`ShuffleElement.poly`) is never built
@@ -263,6 +270,17 @@ def test_one_parser_keeps_no_state_between_calls(capsys):
     code, out, _ = run(capsys, "props", "--seed", "7", "--trials", "1", "--json")
     assert code == 0 and json.loads(out)["holds"]
     assert run(capsys, "props", "--trials", "1")[1] == run(capsys, "props", "--seed", "0", "--trials", "1")[1]
+    # --seed belongs to props alone, and no seed draws as seed 0
+    assert run(capsys, "props", "--seed", "7", "--trials", "1") == (0, (
+        "ok   assoc z^0 z^-1 z^1\n"
+        "ok   lemma a [-1, -1] n=0\n"
+        "ok   wheel [2, 0, 0]\n"), "")
+    assert run(capsys, "props", "--trials", "1") == (0, (
+        "ok   assoc z^1 z^1 z^-2\n"
+        "ok   lemma b [2, 2, 1] n=1\n"
+        "ok   wheel [2, 0, 2]\n"), "")
+    code, out, err = run(capsys, "expand", "--seed", "5", "sh[0]")
+    assert (code, out) == (2, "") and err.startswith("usage:")
     assert run(capsys, "expand")[0] == 2
     assert run(capsys, "expand", "1") == (0, "1\n", "")
 

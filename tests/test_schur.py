@@ -1,6 +1,7 @@
 """Alternant (Schur) coefficients and their monomial expansion, against
 exact division by the Vandermonde."""
 
+import copy
 import itertools
 import random
 from functools import lru_cache
@@ -9,14 +10,23 @@ import pytest
 
 from intshuffle.poly import Q1, Q2, LaurentPoly, is_symmetric, z
 from intshuffle.schur import (
-    _kostka,
-    _schur_row,
     alternant,
     from_alternant,
     group_by_z,
+    monomial_coefficients,
     straighten,
 )
-from intshuffle.shuffle import _divide_vandermonde, _vandermonde, sym
+from intshuffle.shuffle import _divide_vandermonde, _vandermonde, _word_alternant, shuffle_word, sym
+
+
+def _schur_row(shape):
+    """content -> K(shape, content) for s_shape in len(shape) variables,
+    read off its monomial expansion; an absent content has K = 0."""
+    n = len(shape)
+    alpha = tuple(part + n - 1 - i for i, part in enumerate(shape))
+    return {
+        content: row[()] for content, row in monomial_coefficients({alpha: {(): 1}}, n).items()
+    }
 
 
 @pytest.mark.parametrize(
@@ -31,7 +41,8 @@ from intshuffle.shuffle import _divide_vandermonde, _vandermonde, sym
     ],
 )
 def test_kostka_numbers(shape, content, count):
-    assert _kostka(shape + (0,) * (len(content) - len(shape)), content) == count
+    row = _schur_row(shape + (0,) * (len(content) - len(shape)))
+    assert row.get(content, 0) == count
 
 
 @lru_cache(maxsize=None)
@@ -77,12 +88,10 @@ def test_schur_rows_match_reference_kostka(n):
     for size in range(11):
         partitions = list(_partitions(size, n, size))
         for shape in partitions:
-            row = dict(_schur_row(shape))
+            row = _schur_row(shape)
             assert set(row) <= set(partitions)
             for content in partitions:
-                expected = _reference_kostka(shape, content)
-                assert row.get(content, 0) == expected
-                assert _kostka(shape, content) == expected
+                assert row.get(content, 0) == _reference_kostka(shape, content)
 
 
 def _random_symmetric(rng, n):
@@ -105,7 +114,7 @@ def _decreasing_terms(p, n):
     }
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 def test_divide_vandermonde_inverts_the_product(n):
     # the alternant coefficients of f, expanded back, give the quotient of
     # f * V by V: f itself, as binomial division by V finds it too
@@ -119,6 +128,19 @@ def test_divide_vandermonde_inverts_the_product(n):
         assert quotient == f
         assert quotient == _divide_vandermonde(numerator, n)
         assert is_symmetric(quotient, n)
+
+
+def test_conversion_leaves_the_cached_word_alone():
+    # the word cache hands its rows to every caller; converting to monomials
+    # or to text must not write into them
+    word = (1, 0, 2, -1)
+    coeffs = _word_alternant(word)
+    before = copy.deepcopy(coeffs)
+    monomial_coefficients(coeffs, len(word))
+    from_alternant(coeffs, len(word))
+    str(shuffle_word(word))
+    assert _word_alternant(word) is coeffs
+    assert coeffs == before
 
 
 def test_divide_vandermonde_of_alternants_gives_schur_polynomials():
