@@ -6,7 +6,7 @@ q2 exponent, slot i+1 the z_i exponent; trailing zeros are trimmed so equal
 monomials always share one key.  The zero polynomial is the empty dict.
 
 Functions return fresh dicts and leave their arguments alone, except the
-`*_into` accumulators, which update their first argument in place.
+accumulator `add_into`, which updates its first argument in place.
 
 `mul_terms` works on packed keys: a monomial of s slots becomes one int
 holding e_i + 2^(b-1) in bits [b*i, b*(i+1)), so multiplying two monomials
@@ -120,20 +120,13 @@ def div_binomial(a: dict, sa: int, sb: int) -> dict:
     running sums of a telescoping recurrence.  Raises ValueError when the
     division is not exact.
     """
-    if not a:
-        return {}
+    pad = (0,) * (max(sa, sb) + 1)
     buckets: dict = {}
     for mono, c in a.items():
-        w = len(mono)
-        ea = mono[sa] if sa < w else 0
-        eb = mono[sb] if sb < w else 0
-        base = list(mono)
-        if sa < w:
-            base[sa] = 0
-        if sb < w:
-            base[sb] = 0
-        while base and base[-1] == 0:
-            base.pop()
+        base = list(mono + pad[len(mono):])
+        ea = base[sa]
+        eb = base[sb]
+        base[sa] = base[sb] = 0
         key = (tuple(base), ea + eb)
         got = buckets.get(key)
         if got is None:
@@ -141,22 +134,17 @@ def div_binomial(a: dict, sa: int, sb: int) -> dict:
         else:
             got.append((ea, c))
     out: dict = {}
-    width = max(sa, sb) + 1
     for (base, s), entries in buckets.items():
         entries.sort()
+        mono = list(base)
         d = 0
         prev = 0
         for t, c in entries:
             if d:
                 for u in range(prev, t):
-                    mono = list(base)
-                    if len(mono) < width:
-                        mono.extend([0] * (width - len(mono)))
                     mono[sa] = u
                     mono[sb] = s - 1 - u
-                    while mono and mono[-1] == 0:
-                        mono.pop()
-                    out[tuple(mono)] = d
+                    out[trimmed(tuple(mono))] = d
             d = d - c
             prev = t
         if d:
@@ -241,26 +229,3 @@ def _codec_cached(slots: int, size: int):
         return trimmed(from_bytes((key ^ bias).to_bytes(nbytes, "little")))
 
     return pack, unpack, bias
-
-
-def addmul_into(r: dict, b: dict, mono: tuple, c) -> list:
-    """In-place r += c * z^mono * b on fixed-width keys; returns created keys.
-
-    Used by the exact-division inner loop: keys of r, b and mono must share
-    one padded width (no trailing-zero trimming is performed).
-    """
-    created = []
-    n = len(mono)
-    for mb, cb in b.items():
-        m = tuple(mb[i] + mono[i] for i in range(n))
-        c0 = r.get(m)
-        if c0 is None:
-            r[m] = cb * c
-            created.append(m)
-        else:
-            c0 = c0 + cb * c
-            if c0:
-                r[m] = c0
-            else:
-                del r[m]
-    return created

@@ -14,28 +14,28 @@ The parameter q of the algebra is never a variable: it is everywhere the
 product q1*q2.
 
 Monomial order (used for exact division and for canonical printing): graded
-lexicographic on exponent vectors, scanning q1, q2, z1, ..., zk, taken after
-shifting exponents to be nonnegative where well-foundedness matters.  The
-canonical text lists terms descending in this order, prints coefficients as
-reduced fractions and exponents as `q1^a q2^b z1^c ...`, omitting exponent 1
-and unit factors.  One formatter writes it from terms grouped by (total
-degree, q1 exponent, q2 exponent), each group a list of z-parts: `render`
-fills the groups from a term map, and `schur.render_alternant` fills them
-from a symmetric element's orbit representatives without building its
-monomials.
+lexicographic on exponent vectors, scanning q1, q2, z1, ..., zk.  Laurent
+exponents are not well-ordered by it; exact division stays finite because an
+exact quotient's exponents are bounded below, slot by slot, by the
+dividend's lowest exponents minus the divisor's.  The canonical text lists
+terms descending in this order, prints coefficients as reduced fractions and
+exponents as `q1^a q2^b z1^c ...`, omitting exponent 1 and unit factors.
+One formatter writes it from terms grouped by (total degree, q1 exponent, q2
+exponent), each group a list of z-parts: `render` fills the groups from a
+term map, and `schur.render_alternant` fills them from a symmetric element's
+orbit representatives without building its monomials.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter, lt, neg, sub
 from typing import Iterable, Mapping, Union
 
 from ._terms_py import (
     add_into,
     add_terms,
-    addmul_into,
     div_binomial,
     mul_terms,
     neg_terms,
@@ -58,7 +58,9 @@ def _slot(name: str) -> int:
         return 0
     if name == "q2":
         return 1
-    if name.startswith("z") and name[1:].isdigit():
+    # ASCII digits only: str.isdigit also accepts superscript and
+    # Arabic-Indic digits, which int() then rejects or reads as ASCII ones.
+    if name.startswith("z") and name[1:].isascii() and name[1:].isdigit():
         index = int(name[1:])
         if index >= 1:
             return index + 1
@@ -149,7 +151,11 @@ class LaurentPoly:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(frozenset(self.terms.items()))
+            terms = self.terms
+            if terms.keys() <= {()}:  # a constant hashes as the number it equals
+                h = hash(terms.get((), 0))
+            else:
+                h = hash(frozenset(terms.items()))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -267,42 +273,21 @@ def signed_sum(terms: Iterable[tuple[int, LaurentPoly]]) -> LaurentPoly:
 # -- exact division ---------------------------------------------------------
 
 
-def _min_exponents(terms: dict, width: int) -> list:
-    mins = [0] * width
-    first = True
-    for mono in terms:
-        for i in range(width):
-            e = mono[i] if i < len(mono) else 0
-            if first or e < mins[i]:
-                mins[i] = e
-        first = False
-    return mins
-
-
-def _shift_pad(terms: dict, shift: list, width: int) -> dict:
-    out = {}
-    for mono, c in terms.items():
-        out[
-            tuple(
-                (mono[i] if i < len(mono) else 0) - shift[i] for i in range(width)
-            )
-        ] = c
-    return out
-
-
 def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     """Quotient t with t*d == p exactly; raises NotDivisible otherwise.
 
-    Both operands are Laurent-shifted to ordinary polynomials, divided by
-    leading terms under the graded-lex order, and the quotient is shifted
-    back.  The remainder must vanish.
+    A divisor c*(v_a - v_b) goes to the binomial kernel.  Any other divisor
+    is divided by leading terms under the graded-lex order, on Laurent
+    exponents as they are.  If d divides p, each slot's lowest exponent in p
+    is the sum of its lowest exponents in t and in d, since the ring is a
+    domain.  So a quotient monomial below that bound in some slot proves the
+    division is not exact, and only finitely many monomials lie between the
+    bound and p's total degree, so the loop stops either way.
     """
     if not d.terms:
         raise ZeroDivisionError("division by the zero polynomial")
     if not p.terms:
         return ZERO
-    if len(d.terms) == 1:
-        return p * d.inverse_monomial()
     binomial = _binomial_slots(d.terms)
     if binomial is not None:
         sa, sb, lead = binomial
@@ -316,41 +301,38 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
             )
         return LaurentPoly._raw(quotient)
 
-    width = max(len(m) for m in p.terms)
-    width = max(width, max(len(m) for m in d.terms))
-    sp = _min_exponents(p.terms, width)
-    sd = _min_exponents(d.terms, width)
-    num = _shift_pad(p.terms, sp, width)
-    den = _shift_pad(d.terms, sd, width)
-
-    def order(mono: tuple):
-        return (sum(mono), mono)
-
-    lead = max(den, key=order)
-    lead_coeff = den[lead]
+    pad = (0,) * max(map(len, [*p.terms, *d.terms]))
+    num = {mono + pad[len(mono):]: c for mono, c in p.terms.items()}
+    den = {mono + pad[len(mono):]: c for mono, c in d.terms.items()}
+    low = [min(ps) - min(ds) for ps, ds in zip(zip(*num), zip(*den))]
+    lead, lead_coeff = max(den.items(), key=lambda term: (sum(term[0]), term[0]))
     # heap entries encode the monomial directly: entry[1:] are negated exponents
-    heap = [(-sum(m),) + tuple(-e for e in m) for m in num]
+    heap = [(-sum(m), *map(neg, m)) for m in num]
     heapq.heapify(heap)
     quotient: dict = {}
     while num:
-        entry = heapq.heappop(heap)
-        mono = tuple(-e for e in entry[1:])
+        mono = tuple(map(neg, heapq.heappop(heap)[1:]))
         c = num.get(mono)
         if c is None:
             continue
-        qm = tuple(a - b for a, b in zip(mono, lead))
-        if any(e < 0 for e in qm):
+        qm = tuple(map(sub, mono, lead))
+        if any(map(lt, qm, low)):
             raise NotDivisible(f"{render(d)} does not divide {render(p)}")
-        qc = _norm_coeff(c / lead_coeff if isinstance(c, Fraction) else Fraction(c) / lead_coeff)
-        quotient[qm] = qc
-        created = addmul_into(num, den, qm, -qc)
-        for m in created:
-            heapq.heappush(heap, (-sum(m),) + tuple(-e for e in m))
-    back = [a - b for a, b in zip(sp, sd)]
-    result = {}
-    for mono, c in quotient.items():
-        result[trimmed(tuple(e + s for e, s in zip(mono, back)))] = c
-    return LaurentPoly._raw(result)
+        qc = _norm_coeff(Fraction(c) / lead_coeff)
+        quotient[trimmed(qm)] = qc
+        for dm, dc in den.items():
+            m = tuple(map(add, dm, qm))
+            c0 = num.get(m)
+            if c0 is None:
+                num[m] = -qc * dc
+                heapq.heappush(heap, (-sum(m), *map(neg, m)))
+            else:
+                c0 = c0 - qc * dc
+                if c0:
+                    num[m] = c0
+                else:
+                    del num[m]
+    return LaurentPoly._raw(quotient)
 
 
 def _binomial_slots(d_terms: dict):

@@ -89,6 +89,15 @@ def test_substitute_monomial_image():
     assert substitute(z(1) * z(2), {"z1": Q1 * z(2)}) == Q1 * z(2) ** 2
 
 
+@pytest.mark.parametrize("name", ["z\u0661", "z\u0662", "z\u00b2"])
+def test_variable_names_take_ascii_digits_only(name):
+    # Arabic-Indic one and two, and a superscript two
+    with pytest.raises(ValueError, match="unknown variable name"):
+        LaurentPoly.variable(name)
+    with pytest.raises(ValueError, match="unknown variable name"):
+        substitute(z(1) * z(2), {name: Q1})
+
+
 def test_substitute_negative_exponent_needs_monomial():
     with pytest.raises(NonInvertibleImage):
         substitute(z(1) ** -1, {"z1": z(1) + z(2)})
@@ -188,11 +197,30 @@ def _binomials(draw):
 
 
 @given(_polys(), st.one_of(_polys(), _binomials()))
+@example(z(1) - Q1 * z(2) ** -1, Fraction(3, 4) * Q2**-1 * z(3) ** -2)
+@example(Fraction(1, 3) * z(2) + Q1**-2, LaurentPoly.constant(Fraction(-2, 5)))
 @settings(max_examples=60, deadline=None)
 def test_exact_div_round_trip(p, d):
     if not d:
         return
     assert exact_div(p * d, d) == p
+
+
+@st.composite
+def _single_terms(draw):
+    mono = tuple(draw(st.integers(min_value=-2, max_value=2)) for _ in range(5))
+    c = draw(st.one_of(_coeffs.filter(bool), st.fractions(-4, 4).filter(bool)))
+    return LaurentPoly({mono: c})
+
+
+@given(_polys(), st.one_of(_polys(), _binomials()).filter(lambda d: len(d.terms) >= 2),
+       _single_terms())
+@settings(max_examples=60, deadline=None)
+def test_exact_div_rejects_a_stray_term(p, d, m):
+    # m + p*d = t*d would make the monomial m a multiple of d by t - p, and a
+    # nonzero multiple of a divisor with two or more terms has two or more terms
+    with pytest.raises(NotDivisible):
+        exact_div(p * d + m, d)
 
 
 @given(_polys(), _polys())
@@ -293,6 +321,15 @@ def test_canonical_uniqueness():
     b = z(2) + z(1)
     assert a.terms == b.terms
     assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("c", [0, 5, -2, Fraction(3, 4)])
+def test_constant_hashes_as_its_coefficient(c):
+    p = LaurentPoly.constant(c)
+    assert p == c
+    assert hash(p) == hash(c)
+    assert {p: 1}[c] == 1
+    assert {c: 1}[p] == 1
 
 
 def _mul_per_term(a, b):
