@@ -8,10 +8,13 @@ monomials always share one key.  The zero polynomial is the empty dict.
 Functions return fresh dicts and leave their arguments alone, except the
 accumulator `add_into`, which updates its first argument in place.
 
-`mul_terms` works on packed keys: a monomial of s slots becomes one int
-holding e_i + 2^(b-1) in bits [b*i, b*(i+1)), so multiplying two monomials
-is adding two ints.  It packs its input and unpacks its result, so callers
-only ever see tuples.
+Only what carries an algorithm or a key format lives here: `LaurentPoly`
+writes its sums, negation and scaling itself, as a copy plus `add_into` or a
+comprehension.  `mul_terms` works on packed keys: a monomial of s slots
+becomes one int holding e_i + 2^(b-1) in bits [b*i, b*(i+1)), so
+multiplying two monomials is adding two ints.  It packs its input and
+unpacks its result, so callers only ever see tuples; a single-term operand
+skips the packing.
 """
 
 from __future__ import annotations
@@ -62,29 +65,6 @@ def add_into(r: dict, b: dict, sign: int = 1) -> None:
                 del r[m]
 
 
-def add_terms(a: dict, b: dict) -> dict:
-    if len(a) < len(b):
-        a, b = b, a
-    out = dict(a)
-    add_into(out, b)
-    return out
-
-
-def sub_terms(a: dict, b: dict) -> dict:
-    out = dict(a)
-    add_into(out, b, -1)
-    return out
-
-
-def neg_terms(a: dict) -> dict:
-    return {m: -c for m, c in a.items()}
-
-
-def scale_terms(a: dict, c) -> dict:
-    """Multiply every coefficient by the nonzero scalar c."""
-    return {m: cc * c for m, cc in a.items()}
-
-
 def mul_terms(a: dict, b: dict) -> dict:
     if not a or not b:
         return {}
@@ -92,7 +72,9 @@ def mul_terms(a: dict, b: dict) -> dict:
         a, b = b, a
     if len(a) == 1:
         (mono, c), = a.items()
-        return mul_monomial(b, mono, c)
+        if c == 1 and not mono:
+            return dict(b)
+        return {mono_mul(m, mono): cc * c for m, cc in b.items()}
     pack, unpack, bias = _codec(max(_width(a), _width(b)), _reach(a) + _reach(b))
     packed_b = [(pack(m) - bias, c) for m, c in b.items()]
     out: dict = {}
@@ -103,13 +85,6 @@ def mul_terms(a: dict, b: dict) -> dict:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
     return {unpack(k): c for k, c in out.items() if c}
-
-
-def mul_monomial(a: dict, mono: tuple, c) -> dict:
-    """a * c*z^mono for a single monomial with nonzero coefficient c."""
-    if c == 1 and not mono:
-        return dict(a)
-    return {mono_mul(m, mono): cc * c for m, cc in a.items()}
 
 
 def div_binomial(a: dict, sa: int, sb: int) -> dict:

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from .errors import ArityTooSmall, IdentityViolated, NotDivisible
+from .expr import as_element
 from .generators import (
     GeneratorWord,
     WordLike,
@@ -57,6 +58,7 @@ from .generators import (
     as_word,
 )
 from .poly import (
+    Q,
     Q1,
     Q2,
     LaurentPoly,
@@ -68,8 +70,6 @@ from .poly import (
 )
 from .shuffle import ShuffleElement, _vandermonde, omega_numerator, shuffle_word
 
-_Q = Q1 * Q2
-
 
 @dataclass(frozen=True)
 class IdealGenerators:
@@ -80,11 +80,11 @@ class IdealGenerators:
 @lru_cache(maxsize=1)
 def ideal_generators() -> IdealGenerators:
     g1 = (
-        2 * _Q * z(1) ** 2
-        - (1 + Q1 + Q2 - 2 * _Q + Q1 * _Q + Q2 * _Q + _Q * _Q) * z(1) * z(2)
-        + 2 * _Q * z(2) ** 2
+        2 * Q * z(1) ** 2
+        - (1 + Q1 + Q2 - 2 * Q + Q1 * Q + Q2 * Q + Q * Q) * z(1) * z(2)
+        + 2 * Q * z(2) ** 2
     )
-    g2 = (1 - Q1) * (1 - Q2) * (1 - _Q) * (z(1) + z(2))
+    g2 = (1 - Q1) * (1 - Q2) * (1 - Q) * (z(1) + z(2))
     return IdealGenerators(g1, g2)
 
 
@@ -105,8 +105,8 @@ def wheel_check(element: ShuffleElement) -> bool:
     """
     if element.arity < 3:
         return True
-    return _vanishes_under(element, {"z1": _Q * z(3), "z2": Q2 * z(3)},
-                           {"z1": _Q * z(3), "z2": Q1 * z(3)})
+    return _vanishes_under(element, {"z1": Q * z(3), "z2": Q2 * z(3)},
+                           {"z1": Q * z(3), "z2": Q1 * z(3)})
 
 
 def ideal_wheel_check(element: ShuffleElement) -> bool:
@@ -118,8 +118,8 @@ def ideal_wheel_check(element: ShuffleElement) -> bool:
     """
     if element.arity < 3:
         raise ArityTooSmall("the wheel ideals live in arity >= 3")
-    return _vanishes_under(element, {"z2": Q1 * z(1), "z3": _Q * z(1)},
-                           {"z2": Q2 * z(1), "z3": _Q * z(1)})
+    return _vanishes_under(element, {"z2": Q1 * z(1), "z3": Q * z(1)},
+                           {"z2": Q2 * z(1), "z3": Q * z(1)})
 
 
 # -- kernel decomposition -------------------------------------------------------
@@ -185,8 +185,6 @@ class IdealCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "IdealCertificate":
-        from .expr import as_element
-
         payload = _certificate_payload(text, "target", "A", "B")
         raw = payload["target"]
         if isinstance(raw, str):
@@ -287,7 +285,7 @@ def corollary_check(element: ShuffleElement) -> tuple[bool, LaurentPoly | None]:
     if element.arity < 2:
         raise ArityTooSmall("the divisibility condition needs arity >= 2")
     image = substitute(element.poly, {"z2": -z(1)})
-    divisor = (1 + Q1) * (1 + Q2) * (1 + _Q)
+    divisor = (1 + Q1) * (1 + Q2) * (1 + Q)
     try:
         return (True, exact_div(image, divisor))
     except NotDivisible:

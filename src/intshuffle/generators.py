@@ -32,6 +32,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import ArityTooSmall, NotSymmetric
+from .expr import parse_poly
 from .poly import ONE, LaurentPoly, render, z
 from .shuffle import element_sum, shuffle_word
 
@@ -141,8 +142,6 @@ def _json_word(raw, field: str) -> GeneratorWord:
 
 def _json_poly(raw, field: str) -> LaurentPoly:
     """The scalar in certificate field `field`: a polynomial written as a string."""
-    from .expr import parse_poly
-
     if not isinstance(raw, str):
         raise ValueError(f"{field} must be a string, not {type(raw).__name__}")
     return parse_poly(raw)

@@ -33,17 +33,7 @@ from fractions import Fraction
 from operator import add, itemgetter, lt, neg, sub
 from typing import Iterable, Mapping, Union
 
-from ._terms_py import (
-    add_into,
-    add_terms,
-    div_binomial,
-    mul_terms,
-    neg_terms,
-    permute_slots,
-    scale_terms,
-    sub_terms,
-    trimmed,
-)
+from ._terms_py import add_into, div_binomial, mul_terms, permute_slots, trimmed
 from .errors import NonInvertibleImage, NotDivisible
 
 Coefficient = Union[int, Fraction]
@@ -60,10 +50,10 @@ def _slot(name: str) -> int:
         return 1
     # ASCII digits only: str.isdigit also accepts superscript and
     # Arabic-Indic digits, which int() then rejects or reads as ASCII ones.
-    if name.startswith("z") and name[1:].isascii() and name[1:].isdigit():
-        index = int(name[1:])
-        if index >= 1:
-            return index + 1
+    # No leading zero, so each variable has one spelling and z0 is no name.
+    digits = name[1:]
+    if name.startswith("z") and digits.isascii() and digits.isdigit() and digits[0] != "0":
+        return int(digits) + 1
     raise ValueError(f"unknown variable name {name!r}")
 
 
@@ -181,7 +171,12 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LaurentPoly._raw(add_terms(self.terms, other.terms))
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        add_into(out, b)
+        return LaurentPoly._raw(out)
 
     __radd__ = __add__
 
@@ -189,22 +184,26 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LaurentPoly._raw(sub_terms(self.terms, other.terms))
+        out = dict(self.terms)
+        add_into(out, other.terms, -1)
+        return LaurentPoly._raw(out)
 
     def __rsub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LaurentPoly._raw(sub_terms(other.terms, self.terms))
+        out = dict(other.terms)
+        add_into(out, self.terms, -1)
+        return LaurentPoly._raw(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw(neg_terms(self.terms))
+        return LaurentPoly._raw({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             if not other:
                 return LaurentPoly.zero()
-            return LaurentPoly._raw(scale_terms(self.terms, other))
+            return LaurentPoly._raw({m: c * other for m, c in self.terms.items()})
         if isinstance(other, LaurentPoly):
             return LaurentPoly._raw(mul_terms(self.terms, other.terms))
         return NotImplemented
@@ -294,11 +293,11 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
         try:
             quotient = div_binomial(p.terms, sa, sb)
         except ValueError:
-            raise NotDivisible(f"{render(d)} does not divide {render(p)}") from None
+            message = f"{render(d)} does not divide a {len(p.terms)}-term dividend"
+            raise NotDivisible(message) from None
         if lead != 1:
-            quotient = scale_terms(
-                quotient, _norm_coeff(Fraction(1, 1) / lead)
-            )
+            inverse = _norm_coeff(Fraction(1, 1) / lead)
+            quotient = {m: c * inverse for m, c in quotient.items()}
         return LaurentPoly._raw(quotient)
 
     pad = (0,) * max(map(len, [*p.terms, *d.terms]))
@@ -317,7 +316,7 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
             continue
         qm = tuple(map(sub, mono, lead))
         if any(map(lt, qm, low)):
-            raise NotDivisible(f"{render(d)} does not divide {render(p)}")
+            raise NotDivisible(f"{render(d)} does not divide a {len(p.terms)}-term dividend")
         qc = _norm_coeff(Fraction(c) / lead_coeff)
         quotient[trimmed(qm)] = qc
         for dm, dc in den.items():
@@ -336,27 +335,14 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
 
 
 def _binomial_slots(d_terms: dict):
-    """Recognize a c*(v_a - v_b) divisor; returns (slot_a, slot_b, c) or None."""
+    """Recognize a c*(v_a - v_b) divisor; returns (slot_a, slot_b, c) or None.
+    Keys are trimmed, so v_s is exactly the key (0,) * s + (1,)."""
     if len(d_terms) != 2:
         return None
     (m1, c1), (m2, c2) = d_terms.items()
-    if c1 + c2 != 0:
-        return None
-
-    def pure_slot(m: tuple):
-        found = None
-        for i, e in enumerate(m):
-            if e:
-                if found is not None or e != 1:
-                    return None
-                found = i
-        return found
-
-    s1 = pure_slot(m1)
-    s2 = pure_slot(m2)
-    if s1 is None or s2 is None:
-        return None
-    return (s1, s2, c1)
+    if c1 + c2 == 0 and all(m[-1:] == (1,) and not any(m[:-1]) for m in (m1, m2)):
+        return (len(m1) - 1, len(m2) - 1, c1)
+    return None
 
 
 # -- substitution and z-relabelling ------------------------------------------

@@ -17,9 +17,13 @@ the kernel numerators over the cross pairs i <= k < j (K = 1 when k = 0),
 because the symmetrization of a_mu(z_1..z_k) a_nu(z_{k+1}..z_{k+l}) K is
 k!.l! times that of z^(mu || nu) K; the 1/(k!.l!) cancels exactly.  Each
 a_gamma is straightened to 0 or a signed a_alpha with alpha strictly
-decreasing.  Sums, scaling and equality act on the coefficients too, and
-monomials are built only where they are read.  No numerator is multiplied
-out and nothing is divided, so all arithmetic stays exact.
+decreasing.  A word z1^{d1} * ... * z1^{dk} is folded letter by letter:
+z1^d is a_(d) (V_1 = 1), so each step appends d to the alternants of the
+cached prefix, of arity j, and straightens their rows, uncopied, against
+the K of arities j and 1.
+Sums, scaling and equality act on the coefficients too, and monomials are
+built only where they are read.  No numerator is multiplied out and nothing
+is divided, so all arithmetic stays exact.
 """
 
 from __future__ import annotations
@@ -175,23 +179,16 @@ def _cross_kernel(k: int, l: int) -> tuple:
     return tuple(group_by_z(out.terms, k + l).items())
 
 
-def _alternant_product(left: dict, right: dict, k: int, l: int) -> dict:
-    """Alternant coefficients of (P * Q) V_{k+l} from those of P V_k (`left`)
-    and Q V_l (`right`): the sum of c_mu d_nu coeff_t a_{(mu || nu) + t} over
-    the terms t of the cross kernel, each a_gamma straightened.
-    """
-    pairs = {mu + nu: mul_terms(c, d) for mu, c in left.items() for nu, d in right.items()}
-    return straighten_sum(pairs, _cross_kernel(k, l))
-
-
 def shuffle(left: ShuffleElement, right: ShuffleElement) -> ShuffleElement:
     """The shuffle product; arity adds, and the result is again symmetric.
 
-    The alternant coefficients of the product come from those of the
-    operands by straightening (`_alternant_product`); no monomial is built.
+    Each pair c_mu d_nu of alternant coefficients lands on a_{mu || nu},
+    shifted by the terms of K and straightened (see above); no monomial is built.
     """
     k, l = left.arity, right.arity
-    return ShuffleElement._of(k + l, _alternant_product(left.coeffs, right.coeffs, k, l))
+    pairs = {mu + nu: mul_terms(c, d)
+             for mu, c in left.coeffs.items() for nu, d in right.coeffs.items()}
+    return ShuffleElement._of(k + l, straighten_sum(pairs, _cross_kernel(k, l)))
 
 
 def shuffle_full_sym(left: ShuffleElement, right: ShuffleElement) -> ShuffleElement:
@@ -230,12 +227,13 @@ def scalar(value) -> ShuffleElement:
 
 @lru_cache(maxsize=256)
 def _word_alternant(exponents: tuple[int, ...]) -> dict:
-    """Alternant coefficients of a word, folded letter by letter; the
-    prefixes come from this cache too."""
+    """Alternant coefficients of a word, folded letter by letter (see
+    above); the prefixes come from this cache too."""
     if len(exponents) <= 1:
         return {exponents: {(): 1}}
-    head = _word_alternant(exponents[:-1])
-    return _alternant_product(head, {exponents[-1:]: {(): 1}}, len(exponents) - 1, 1)
+    last = exponents[-1:]
+    rows = {mu + last: row for mu, row in _word_alternant(exponents[:-1]).items()}
+    return straighten_sum(rows, _cross_kernel(len(exponents) - 1, 1))
 
 
 def shuffle_word(word: Sequence[int] | Iterable[int]) -> ShuffleElement:

@@ -302,6 +302,12 @@ def test_deep_recursion_exit_code(capsys):
         assert err == "error: the computation recursed too deeply\n", argv
 
 
+def test_z_index_with_a_leading_zero_is_no_name(capsys):
+    # z01 would be a second spelling of z1, which the canonical text never writes
+    code, out, err = run(capsys, "expand", "z01 + z1")
+    assert (code, out, err) == (2, "", "error: at position 0: unknown name 'z01'\n")
+
+
 def test_arity_error_exit_code(capsys):
     code, _, err = run(capsys, "expand", "sh[0,0] + sh[0]")
     assert code == 2

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from intshuffle import poly
+from intshuffle._terms_py import div_binomial
 from intshuffle.errors import NonInvertibleImage, NotDivisible
+from intshuffle.expr import parse_poly
 from intshuffle.poly import (
     Q1,
     Q2,
@@ -75,6 +78,38 @@ def test_exact_div_not_divisible():
         exact_div(z(1) ** 2 + 1, z(1) + Q1)
 
 
+def test_not_divisible_names_the_divisor_not_the_dividend():
+    # one stray term on the 5,763 monomials of sh[0,0,0,0]; both division
+    # paths must fail without writing the dividend into the message
+    p = shuffle_word((0, 0, 0, 0)).poly + z(1) ** 7
+    for d in ((1 + Q1) * (1 + z(2)), z(1) - z(2)):
+        with pytest.raises(NotDivisible) as info:
+            exact_div(p, d)
+        message = str(info.value)
+        assert render(d) in message and len(message) < 200, message
+
+
+_KERNEL_DIVISORS = ["z1 - z2", "3 z3 - 3 z1", "q1 - z2", "q1 - q2"]
+_LOOP_DIVISORS = ["z1 + z2", "2 z1 - z2", "z1^2 - z2", "z1 - z2^-1", "z1 z2 - 1", "z1 - 1"]
+
+
+@pytest.mark.parametrize("text", _KERNEL_DIVISORS + _LOOP_DIVISORS)
+def test_binomial_kernel_takes_c_times_a_difference_of_variables(monkeypatch, text):
+    d = parse_poly(text)
+    p = parse_poly("z1^2 z3 - 1/2 q1 z2^-1 + 3 q2^2 z1 z2 + 1")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return div_binomial(*args)
+
+    monkeypatch.setattr(poly, "div_binomial", counted)
+    quotient = exact_div(p * d, d)
+    assert len(calls) == (text in _KERNEL_DIVISORS)
+    monkeypatch.setattr(poly, "_binomial_slots", lambda terms: None)
+    assert exact_div(p * d, d) == quotient == p
+
+
 def test_exact_div_zero_dividend():
     assert exact_div(LaurentPoly.zero(), z(1) - z(2)) == LaurentPoly.zero()
 
@@ -89,9 +124,9 @@ def test_substitute_monomial_image():
     assert substitute(z(1) * z(2), {"z1": Q1 * z(2)}) == Q1 * z(2) ** 2
 
 
-@pytest.mark.parametrize("name", ["z\u0661", "z\u0662", "z\u00b2"])
+@pytest.mark.parametrize("name", ["z\u0661", "z\u0662", "z\u00b2", "z01", "z007"])
 def test_variable_names_take_ascii_digits_only(name):
-    # Arabic-Indic one and two, and a superscript two
+    # Arabic-Indic one and two, a superscript two, and leading zeros
     with pytest.raises(ValueError, match="unknown variable name"):
         LaurentPoly.variable(name)
     with pytest.raises(ValueError, match="unknown variable name"):

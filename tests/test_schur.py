@@ -16,7 +16,15 @@ from intshuffle.schur import (
     monomial_coefficients,
     straighten,
 )
-from intshuffle.shuffle import _divide_vandermonde, _vandermonde, _word_alternant, shuffle_word, sym
+from intshuffle.shuffle import (
+    _divide_vandermonde,
+    _vandermonde,
+    _word_alternant,
+    one_variable,
+    shuffle,
+    shuffle_word,
+    sym,
+)
 
 
 def _schur_row(shape):
@@ -131,14 +139,17 @@ def test_divide_vandermonde_inverts_the_product(n):
 
 
 def test_conversion_leaves_the_cached_word_alone():
-    # the word cache hands its rows to every caller; converting to monomials
-    # or to text must not write into them
+    # the word cache hands its rows to every caller, and the fold hands them
+    # on uncopied to the next letter; converting to monomials or to text, or
+    # multiplying on, must not write into them
     word = (1, 0, 2, -1)
     coeffs = _word_alternant(word)
     before = copy.deepcopy(coeffs)
     monomial_coefficients(coeffs, len(word))
     from_alternant(coeffs, len(word))
     str(shuffle_word(word))
+    shuffle_word(word + (3,))
+    shuffle(shuffle_word(word), one_variable(0))
     assert _word_alternant(word) is coeffs
     assert coeffs == before
 
