@@ -93,7 +93,7 @@ def _cmd_certificate(args, build, verify) -> int:
     cert = build(_parse_word_arg(args.word))
     verified = verify(cert) if args.verify else None
     if args.json:
-        payload = json.loads(cert.to_json())
+        payload = cert.payload()
         if verified is not None:
             payload["verified"] = verified
         print(json.dumps(payload, indent=2))

@@ -170,18 +170,16 @@ class IdealCertificate:
     def __str__(self) -> str:
         return f"target: {self.target}\nA: {render(self.A)}\nB: {render(self.B)}"
 
-    def to_json(self) -> str:
+    def payload(self) -> dict:
+        """The JSON object of the certificate, as `to_json` writes it."""
         if isinstance(self.target, GeneratorWord):
             target = list(self.target.exponents)
         else:
             target = str(self.target)
-        payload = {
-            "schema": 1,
-            "target": target,
-            "A": render(self.A),
-            "B": render(self.B),
-        }
-        return json.dumps(payload, indent=2)
+        return {"schema": 1, "target": target, "A": render(self.A), "B": render(self.B)}
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "IdealCertificate":

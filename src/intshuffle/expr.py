@@ -13,15 +13,25 @@ Grammar (whitespace between tokens is ignored):
     name     := 'q1' | 'q2' | 'q' | 'z' | 'z' INT
     exponent := ['-'] INT | '(' ['-'] INT ')'
 
-INT is a run of ASCII digits and names are ASCII.  A character that is not
-one of these, whitespace or one of `+-*/^()[],` is a syntax error at its
-position.
+INT is a run of ASCII digits and names are ASCII.  The INT of a name `z`
+INT runs from 1 to `poly.MAX_Z_INDEX` and has no leading zero.  A character
+that is not one of these, whitespace or one of `+-*/^()[],` is a syntax
+error at its position.
 
 `sh[d1,...,dk]` is the expansion of z1^{d1} * ... * z1^{dk}; `z^d` (bare `z`)
 is the one-variable element z1^d; `q1`, `q2` and indexed `z1, z2, ...` are
 scalar variables, and `q` is input sugar for q1 q2 (never printed).  The
 shuffle operator binds tighter than + and -, juxtaposition tighter than the
 shuffle operator.
+
+The reader is a recursive-descent parser over a lazy lexer: it keeps only
+its position in the text and matches the next token where the grammar asks
+for one.  A factor written without spaces, a variable with its power
+(`q1^-4`, `z3^2`, `q`) or a number with its denominator (`3/4`), is one
+token, read by the juxtaposition loop itself; any other spelling (`q1 ^ -2`,
+`q1^(-2)`, `3 / 4`) goes through the generic `power`/`atom` rules.  One
+search for a character that starts no token runs before parsing, so a bad
+character anywhere wins over every other error.
 
 The parser types every node as it builds it: a scalar (a Laurent
 polynomial) with the largest z-index written in it, or a shuffle element of
@@ -35,11 +45,12 @@ power of a base that is not a monomial.  Every error carries its character
 position.
 
 While a juxtaposed product is still scalar, the parser folds its numbers,
-variables and their powers into one `Term` (exponents added, coefficients
-multiplied), so a term `-3/4 q1^2 z2 z3^-1` of printed certificate text is
-one node.  Evaluation is then a single walk of the tree.  Sums and
-juxtaposed products are flat nodes, walked in a loop, so their length is not
-bounded by the recursion limit.
+variables and their powers into one monomial (exponents added, coefficients
+multiplied), and a sum folds its monomial summands into one term dict, so
+printed certificate text `-3/4 q1^2 z2 z3^-1 + ...` becomes a single `Poly`
+node as it is read.  Evaluation is then a single walk of the tree.  Sums
+and juxtaposed products are flat nodes, walked in a loop, so their length
+is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -49,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from ._terms_py import mono_mul
+from ._terms_py import add_into, mono_mul
 from .errors import ArityMismatch, ExprSyntaxError, NotSymmetric
 from .poly import LaurentPoly, _slot, signed_sum
 from .shuffle import ShuffleElement, element_sum, one_variable, scalar, shuffle, shuffle_word
@@ -66,12 +77,11 @@ class Node:
 
 
 @dataclass(frozen=True)
-class Term(Node):
-    """coeff * prod(var_slot ^ exps[slot]): a product of numbers, variables
-    and their powers, with the slots of `poly.LaurentPoly` (exps trimmed)."""
+class Poly(Node):
+    """A scalar computed while parsing: a product of numbers, variables and
+    their powers, or the sum of a sum's monomial summands."""
 
-    exps: tuple[int, ...]
-    coeff: int | Fraction
+    value: LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -116,29 +126,73 @@ class Pow(Node):
     exponent: int
 
 
-# -- tokenizer -----------------------------------------------------------------
+# -- lexer ---------------------------------------------------------------------
 
-# ASCII digits and letters only: str.isdigit would also accept superscript
-# and Arabic-Indic digits, which int() then rejects or reads as ASCII ones.
-_TOKEN = re.compile(
-    r"(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<SYM>[-+*/^()\[\],])"
-    r"|(?P<SPACE>\s+)|(?P<BAD>.)",
-    re.DOTALL,
+# Every token regex takes the whitespace after its token, so the parser's
+# position always rests on a token's first character or on the end.  ASCII
+# digits and letters only: str.isdigit would also accept superscript and
+# Arabic-Indic digits, which int() then rejects or reads as ASCII ones.
+_SPACE = re.compile(r"\s*")
+_INT = re.compile(r"([0-9]+)\s*")
+_NAME = re.compile(r"([A-Za-z][A-Za-z0-9_]*)\s*")
+
+# A whole factor: group 1 is its text, groups 2-3 a variable and its power,
+# groups 4-5 a number and its denominator.  The lookahead declines a factor
+# that more name characters, a '^' or a '/' would extend, so that `z1abc`,
+# `q1^(-2)`, `q1^2^3`, `3 / 4` and `6/2/3` take the generic path.
+_FACTOR = re.compile(
+    r"((q[12]?|z[1-9][0-9]*)(?:\^(-?[0-9]+))?|([0-9]+)(?:/([0-9]+))?)"
+    r"(?![A-Za-z0-9_]|\s*[/^])\s*"
 )
 
-_Token = tuple[str, str, int]  # (INT | NAME | SYM | END, text, position)
+# Characters that start no token.  A '_' starts none unless it continues a
+# name, that is, unless the run of letters, digits and '_' it sits in has a
+# letter before it.  The two searches run apart: the first scans at C speed.
+_BAD_CHAR = re.compile(r"[^-+*/^()\[\],\sA-Za-z0-9_]")
+_BAD_UNDERSCORE = re.compile(r"(?<![A-Za-z0-9_])[0-9]*_")
+
+# the end of the text, a character no token contains
+_END = "\0"
+# what can start a factor after the first: INT, NAME or '('
+_JUXT_START = frozenset("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ(")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        if kind == "BAD":
-            raise ExprSyntaxError(match.start(), f"unexpected character {match.group()!r}")
-        if kind != "SPACE":
-            tokens.append((kind, match.group(), match.start()))
-    tokens.append(("END", "", len(text)))
-    return tokens
+def _check_characters(text: str) -> None:
+    bad = _BAD_CHAR.search(text)
+    pos = bad.start() if bad else len(text)
+    if "_" in text:
+        under = _BAD_UNDERSCORE.search(text, 0, pos)
+        if under:
+            pos = under.end() - 1
+    if pos < len(text):
+        raise ExprSyntaxError(pos, f"unexpected character {text[pos]!r}")
+
+
+def _variable(name: str, pos: int) -> tuple[tuple, int]:
+    """(exps, largest z-index) of a scalar variable written at `pos`."""
+    if name == "q":
+        return (1, 1), 0
+    try:
+        slot = _slot(name)
+    except ValueError:
+        raise ExprSyntaxError(pos, f"unknown name {name!r}") from None
+    # slots 0 and 1 hold q1 and q2, slot i + 1 holds z_i
+    return (0,) * slot + (1,), max(slot - 1, 0)
+
+
+def _rational(num: int, den: int | None, den_pos: int):
+    """The number num or num/den, its denominator written at `den_pos`."""
+    if den is None:
+        return num
+    if not den:
+        raise ExprSyntaxError(den_pos, "zero denominator")
+    return Fraction(num, den)
+
+
+def _mono_power(exps: tuple, c, e: int) -> tuple:
+    """(exps, coeff) of (c * prod var^exps)^e, for c nonzero or e >= 0."""
+    power = tuple(x * e for x in exps) if e else ()
+    return power, (c**e if e >= 0 else Fraction(c) ** e)
 
 
 # -- parser --------------------------------------------------------------------
@@ -148,16 +202,27 @@ ELEMENT = "element"
 
 # What a parse method returns: (node, kind, n), with n the largest z-index
 # written in a SCALAR (0 when none) and the arity of an ELEMENT.  A number,
-# variable or power of a monomial comes back from `parse_power` as the plain
-# tuple (pos, exps, coeff) of a Term's fields, for `parse_juxt` to fold
-# without building a node.
+# variable, power or product of monomials comes back as the plain tuple
+# (pos, exps, coeff), with the exponent slots of `poly.LaurentPoly` (exps
+# trimmed), for `parse_juxt` and `parse_expr` to fold without building a
+# node; `_monomial` makes it a node where one is needed.
 _Typed = tuple[Union[Node, tuple], str, int]
+
+
+def _monomial(mono: tuple) -> Poly:
+    pos, exps, coeff = mono
+    return Poly(pos, LaurentPoly({exps: coeff}))
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+        _check_characters(text)
+        self.end = len(text)
+        self.text = text + _END
+        self.pos = _SPACE.match(text).end()
+        # factor text -> (offset of its '^' or 0, exps, coeff, z-index); most
+        # factors of a certificate's text repeat one read earlier in it
+        self.factors: dict = {}
         # the first type error met; a node is typed after its children
         self.error: ArityMismatch | None = None
 
@@ -165,52 +230,75 @@ class _Parser:
         if self.error is None:
             self.error = ArityMismatch(pos, message)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def at_sym(self, sym: str) -> bool:
+        # a symbol is one character, and no other token starts with one
+        return self.text[self.pos] == sym
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def advance(self) -> int:
+        """Step over a one-character symbol; returns its position."""
+        pos = self.pos
+        self.pos = _SPACE.match(self.text, pos + 1).end()
+        return pos
 
-    def at_sym(self, text: str) -> bool:
-        # no INT, NAME or END token has the text of a symbol
-        return self.tokens[self.i][1] == text
-
-    def expect_sym(self, text: str) -> _Token:
-        if not self.at_sym(text):
-            raise ExprSyntaxError(self.peek()[2], f"expected {text!r}")
+    def expect_sym(self, sym: str) -> int:
+        if not self.at_sym(sym):
+            raise ExprSyntaxError(self.pos, f"expected {sym!r}")
         return self.advance()
 
     # expr := ['-'] term (('+'|'-') term)*
     def parse_expr(self) -> _Typed:
-        pos = self.peek()[2]
+        """Monomial summands are added into one term dict as they are read,
+        which joins the other summands as one `Poly`."""
+        text = self.text
+        pos = self.pos
         sign = 1
-        if self.at_sym("-"):
+        if text[pos] == "-":
             self.advance()
             sign = -1
         node, kind, n = self.parse_term()
-        terms = [(sign, pos, node)]
-        while self.at_sym("+") or self.at_sym("-"):
-            sign, pos = (1 if self.at_sym("+") else -1), self.advance()[2]
+        if sign == 1 and text[self.pos] not in "+-":
+            return node, kind, n
+        folded: dict | None = None  # the monomial summands, added up
+        terms = []
+        while True:
+            if type(node) is tuple:
+                if folded is None:
+                    folded = {}
+                if node[2]:
+                    add_into(folded, {node[1]: node[2]}, sign)
+            else:
+                terms.append((sign, pos, node))
+            op = text[self.pos]
+            if op != "+" and op != "-":
+                break
+            sign, pos = (1 if op == "+" else -1), self.advance()
             node, rkind, rn = self.parse_term()
-            terms.append((sign, pos, node))
             if kind != rkind:
                 self.type_error(pos, "cannot add a scalar and a shuffle element")
             elif kind == ELEMENT and n != rn:
                 self.type_error(pos, f"cannot add elements of arity {n} and {rn}")
             n = max(n, rn)
-        if len(terms) == 1 and sign == 1:
-            return node, kind, n
         # positioned at the last '+' or '-', the operator applied last
+        if folded is not None:
+            for mono, c in folded.items():  # as LaurentPoly stores an integral coefficient
+                if type(c) is Fraction and c.denominator == 1:
+                    folded[mono] = c.numerator
+            poly = Poly(pos, LaurentPoly._raw(folded))
+            if not terms:
+                return poly, kind, n
+            terms.insert(0, (1, pos, poly))
         return Sum(pos, tuple(terms)), kind, n
 
     # term := juxt ('*' juxt)*
     def parse_term(self) -> _Typed:
         node, kind, n = self.parse_juxt()
         while self.at_sym("*"):
-            pos = self.advance()[2]
+            pos = self.advance()
             right, rkind, rn = self.parse_juxt()
+            if type(node) is tuple:
+                node = _monomial(node)
+            if type(right) is tuple:
+                right = _monomial(right)
             for side, side_kind, span in ((node, kind, n), (right, rkind, rn)):
                 if side_kind == SCALAR and span > 0:
                     self.type_error(side.pos, "a z-dependent scalar is not a shuffle element")
@@ -221,29 +309,38 @@ class _Parser:
     # juxt := power power*
     def parse_juxt(self) -> _Typed:
         """While the product is scalar, its monomials are folded into `run`,
-        which joins the other factors as one Term just before the first
+        which joins the other factors as one monomial just before the first
         element, or at the end.  Each factor after an element stays its own
         factor, so the element is scaled by one factor at a time."""
+        text = self.text
         factors: list[tuple[int, Node]] = []
         kind, n = None, 0  # the type of the product so far
         run = None  # (pos, exps, coeff) of the monomials folded so far
         while True:
-            tok, _, start = self.peek()
-            if kind is not None and tok not in ("INT", "NAME") and not self.at_sym("("):
+            start = self.pos
+            if kind is not None and text[start] not in _JUXT_START:
                 break
             last = start
-            factor, fkind, fn = self.parse_power()
+            m = _FACTOR.match(text, start)
+            if m is not None:
+                self.pos = m.end()
+                off, exps, c, fn = self.factors.get(m[1]) or self.read_factor(m)
+                factor, fkind = (start + off, exps, c), SCALAR
+            else:
+                factor, fkind, fn = self.parse_power()
             if kind != ELEMENT and type(factor) is tuple:
                 if run is not None:  # several monomials: positioned like a Juxt
                     c = factor[2]  # 1 for a variable: skip the (Fraction) product
                     factor = (start, mono_mul(run[1], factor[1]), run[2] if c == 1 else run[2] * c)
-                run, kind, n = factor, SCALAR, max(n, fn)
+                run, kind = factor, SCALAR
+                if fn > n:
+                    n = fn
                 continue
             if fkind == ELEMENT and run is not None:
-                factors.append((run[0], Term(*run)))
+                factors.append((run[0], _monomial(run)))
                 run = None
             if type(factor) is tuple:
-                factor = Term(*factor)
+                factor = _monomial(factor)
             factors.append((start, factor))
             if kind is None or kind == fkind == SCALAR:
                 kind, n = fkind, max(n, fn)
@@ -256,28 +353,41 @@ class _Parser:
                         start, f"scalar factor uses z{span} but the element has arity {arity}"
                     )
                 kind, n = ELEMENT, arity
+        if not factors:
+            return run, kind, n
         if run is not None:
-            factors.append((run[0], Term(*run)))
+            factors.append((run[0], _monomial(run)))
         if len(factors) == 1:
             return factors[0][1], kind, n
         # positioned at the last factor, the one multiplied in last
         return Juxt(last, tuple(factors)), kind, n
+
+    def read_factor(self, m: re.Match) -> tuple:
+        """The `factors` entry of a factor matched by _FACTOR: a power sits at
+        its '^', like one parsed by `parse_power`."""
+        name, e, num, den = m.group(2, 3, 4, 5)
+        if name is None:
+            entry = (0, (), _rational(int(num), None if den is None else int(den), m.start(5)), 0)
+        else:
+            exps, n = _variable(name, m.start())
+            entry = (0, exps, 1, n) if e is None else (len(name), *_mono_power(exps, 1, int(e)), n)
+        self.factors[m[1]] = entry
+        return entry
 
     # power := atom ['^' exponent]
     def parse_power(self) -> _Typed:
         node, kind, n = self.parse_atom()
         if not self.at_sym("^"):
             return node, kind, n
-        pos = self.advance()[2]
+        pos = self.advance()
         e = self.parse_exponent()
         if isinstance(node, ZElt):
             return ZElt(node.pos, e), kind, n
         if type(node) is tuple:
             _, exps, c = node
             if c or e >= 0:
-                power = tuple(x * e for x in exps) if e else ()
-                return (pos, power, c**e if e >= 0 else Fraction(c) ** e), kind, n
-            node = Term(*node)  # the zero base: evaluation reports the negative power
+                return (pos, *_mono_power(exps, c, e)), kind, n
+            node = _monomial(node)  # the zero base: evaluation reports the negative power
         if kind == ELEMENT:
             self.type_error(pos, "cannot exponentiate a shuffle element")
         return Pow(pos, node, e), kind, n
@@ -291,10 +401,11 @@ class _Parser:
         return self.parse_signed_int()
 
     def parse_int(self, what: str) -> int:
-        kind, text, pos = self.advance()
-        if kind != "INT":
-            raise ExprSyntaxError(pos, f"expected {what}")
-        return int(text)
+        m = _INT.match(self.text, self.pos)
+        if m is None:
+            raise ExprSyntaxError(self.pos, f"expected {what}")
+        self.pos = m.end()
+        return int(m[1])
 
     def parse_signed_int(self) -> int:
         sign = 1
@@ -304,37 +415,30 @@ class _Parser:
         return sign * self.parse_int("an integer")
 
     def parse_atom(self) -> _Typed:
-        kind, name, pos = self.peek()
-        if kind == "INT":
-            value = self.parse_int("an integer")
+        pos = self.pos
+        m = _INT.match(self.text, pos)
+        if m is not None:
+            self.pos = m.end()
+            den = den_pos = None
             if self.at_sym("/"):
                 self.advance()
-                den_pos = self.peek()[2]
+                den_pos = self.pos
                 den = self.parse_int("an integer denominator")
-                if den == 0:
-                    raise ExprSyntaxError(den_pos, "zero denominator")
-                value = Fraction(value, den)
-            return (pos, (), value), SCALAR, 0
-        if kind == "NAME":
-            self.advance()
+            return (pos, (), _rational(int(m[1]), den, den_pos)), SCALAR, 0
+        m = _NAME.match(self.text, pos)
+        if m is not None:
+            self.pos = m.end()
+            name = m[1]
             if name == "sh":
                 return self.parse_word(pos)
             if name == "z":
                 return ZElt(pos, 1), ELEMENT, 1
-            if name == "q":
-                return (pos, (1, 1), 1), SCALAR, 0
-            try:
-                slot = _slot(name)
-            except ValueError:
-                raise ExprSyntaxError(pos, f"unknown name {name!r}") from None
-            # slots 0 and 1 hold q1 and q2, slot i + 1 holds z_i
-            return (pos, (0,) * slot + (1,), 1), SCALAR, max(slot - 1, 0)
+            exps, n = _variable(name, pos)
+            return (pos, exps, 1), SCALAR, n
         if self.at_sym("("):
             self.advance()
             node, kind, n = self.parse_expr()
             self.expect_sym(")")
-            if isinstance(node, Term):  # a monomial still: parse_juxt may fold it
-                node = (node.pos, node.exps, node.coeff)
             return node, kind, n
         raise ExprSyntaxError(pos, "expected a value")
 
@@ -354,12 +458,13 @@ def parse(text: str) -> Node:
     """Parse and type-check; raises ExprSyntaxError / ArityMismatch."""
     parser = _Parser(text)
     node, _, _ = parser.parse_expr()
-    kind, text, pos = parser.peek()
-    if kind != "END":
-        raise ExprSyntaxError(pos, f"unexpected {text!r}")
+    pos = parser.pos
+    if pos != parser.end:
+        # the juxtaposition loop reads every INT and NAME: what is left is a symbol
+        raise ExprSyntaxError(pos, f"unexpected {parser.text[pos]!r}")
     if parser.error is not None:
         raise parser.error
-    return node
+    return _monomial(node) if type(node) is tuple else node
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -367,8 +472,8 @@ def parse(text: str) -> Node:
 
 def evaluate(node: Node) -> Value:
     """Evaluate a type-checked tree to a LaurentPoly or ShuffleElement."""
-    if isinstance(node, Term):
-        return LaurentPoly({node.exps: node.coeff})
+    if isinstance(node, Poly):
+        return node.value
     if isinstance(node, ZElt):
         return one_variable(node.exponent)
     if isinstance(node, WordLit):

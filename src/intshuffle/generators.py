@@ -164,8 +164,9 @@ class ModuleCertificate:
         lines += [f"  ({render(cofactor)}) * {word}" for cofactor, word in self.combination]
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The JSON object of the certificate, as `to_json` writes it."""
+        return {
             "schema": 1,
             "target": list(self.target.exponents),
             "combination": [
@@ -173,7 +174,9 @@ class ModuleCertificate:
                 for cofactor, word in self.combination
             ],
         }
-        return json.dumps(payload, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ModuleCertificate":

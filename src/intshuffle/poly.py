@@ -41,6 +41,11 @@ Scalar = Union[int, Fraction, "LaurentPoly"]
 
 _Q_SLOTS = 2
 
+# The largest z-index a variable name may carry: an exponent tuple holds a
+# slot for every index up to its largest, so a huge index would ask for a
+# huge tuple.
+MAX_Z_INDEX = 1024
+
 
 def _slot(name: str) -> int:
     """Map a variable name (q1, q2, z<i>) to its exponent-tuple slot."""
@@ -52,9 +57,10 @@ def _slot(name: str) -> int:
     # Arabic-Indic digits, which int() then rejects or reads as ASCII ones.
     # No leading zero, so each variable has one spelling and z0 is no name.
     digits = name[1:]
-    if name.startswith("z") and digits.isascii() and digits.isdigit() and digits[0] != "0":
+    if (name.startswith("z") and digits.isascii() and digits.isdigit() and digits[0] != "0"
+            and len(digits) <= len(str(MAX_Z_INDEX)) and int(digits) <= MAX_Z_INDEX):
         return int(digits) + 1
-    raise ValueError(f"unknown variable name {name!r}")
+    raise ValueError(f"unknown variable name {name!r} (z-indices run from 1 to {MAX_Z_INDEX})")
 
 
 def _slot_name(slot: int) -> str:
@@ -119,9 +125,9 @@ class LaurentPoly:
 
     @classmethod
     def variable(cls, name: str, exponent: int = 1) -> "LaurentPoly":
+        slot = _slot(name)
         if exponent == 0:
             return cls.constant(1)
-        slot = _slot(name)
         mono = [0] * (slot + 1)
         mono[slot] = exponent
         return cls._raw({tuple(mono): 1})

@@ -308,6 +308,15 @@ def test_z_index_with_a_leading_zero_is_no_name(capsys):
     assert (code, out, err) == (2, "", "error: at position 0: unknown name 'z01'\n")
 
 
+def test_huge_z_index_is_a_syntax_error(capsys):
+    # z-indices stop at poly.MAX_Z_INDEX = 1024 rather than allocate a slot per index
+    for command in ("expand", "wheel", "corollary"):
+        for name in ("z1025", "z99999999999999"):
+            code, out, err = run(capsys, command, name)
+            assert (code, out) == (2, ""), (command, name)
+            assert err == f"error: at position 0: unknown name {name!r}\n", (command, name)
+
+
 def test_arity_error_exit_code(capsys):
     code, _, err = run(capsys, "expand", "sh[0,0] + sh[0]")
     assert code == 2

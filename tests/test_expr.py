@@ -133,6 +133,24 @@ _OUTCOMES = [
     ("0^-1 q1", ArityMismatch, 1, "negative powers need an invertible monomial base"),
     # each factor after an element scales it on its own
     ("sh[0,0] z1 z2", ArityMismatch, 8, "scalar factor must be symmetric in z1..z2"),
+    # where a whole-factor token ends, declines or fails
+    ("z1^", ExprSyntaxError, 3, "expected an integer"),
+    ("z1^x", ExprSyntaxError, 3, "expected an integer"),
+    ("q1^-", ExprSyntaxError, 4, "expected an integer"),
+    ("q1^(-2", ExprSyntaxError, 6, "expected ')'"),
+    ("3/0 z1", ExprSyntaxError, 2, "zero denominator"),
+    ("3 / 0", ExprSyntaxError, 4, "zero denominator"),
+    # a factor read again keeps its own position
+    ("z1^2 + z1^2 * sh[0]", ArityMismatch, 9, "a z-dependent scalar is not a shuffle element"),
+    ("6/2/3", ExprSyntaxError, 3, "unexpected '/'"),
+    ("q1^2^3", ExprSyntaxError, 4, "unexpected '^'"),
+    ("z1abc", ExprSyntaxError, 0, "unknown name 'z1abc'"),
+    ("z01^2", ExprSyntaxError, 0, "unknown name 'z01'"),
+    # a character that starts no token wins over an earlier syntax error
+    ("1_", ExprSyntaxError, 1, "unexpected character '_'"),
+    ("_q1", ExprSyntaxError, 0, "unexpected character '_'"),
+    ("sh[0 0] $", ExprSyntaxError, 8, "unexpected character '$'"),
+    ("(q1 $", ExprSyntaxError, 4, "unexpected character '$'"),
 ]
 
 
@@ -226,4 +244,53 @@ def test_juxtaposed_product_matches_per_factor_product(factors):
     got = parse_poly(text)
     assert got == functools.reduce(operator.mul, (p for _, p in factors)), text
     # the one term keeps an integral coefficient as an int
+    assert not any(isinstance(c, Fraction) and c.denominator == 1 for c in got.terms.values())
+
+
+@st.composite
+def _spelled_factor(draw):
+    """A `_factor` with spaces drawn around its '^' and '/' and, at times, its
+    exponent in parentheses: spellings that a whole-factor token declines."""
+    text, value = draw(_factor())
+    if "^" in text:
+        base, e = text.split("^")
+        if draw(st.booleans()):
+            e = f"({e})"
+        text = base + draw(st.sampled_from(["^", " ^ ", "^ ", " ^"])) + e
+    return text.replace("/", draw(st.sampled_from(["/", " / ", "/ ", " /"]))), value
+
+
+_summands = st.lists(
+    st.tuples(st.sampled_from([1, -1]), st.lists(_spelled_factor(), min_size=1, max_size=4)),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _signed_sum_text(summands) -> str:
+    text = ""
+    for sign, factors in summands:
+        op = "-" if sign < 0 else ("+" if text else "")
+        text += f" {op} " + " ".join(t for t, _ in factors)
+    return text
+
+
+@given(_summands)
+@example([(1, [("0", ZERO), ("q1", Q1)]), (1, [("q1", Q1)])])
+@example([(1, [("q1", Q1), ("z2", z(2))]), (-1, [("z2", z(2)), ("q1", Q1)])])
+@example([(1, [("4/2", LaurentPoly.constant(2)), ("z1", z(1))])])
+@example([(1, [("1/2", LaurentPoly.constant(Fraction(1, 2))), ("z1", z(1))])] * 2)
+@example([(-1, [("q1 ^ -2", Q1**-2), ("q1^(-2)", Q1**-2)]),
+          (1, [("3 / 4", LaurentPoly.constant(Fraction(3, 4)))])])
+@example([(1, [("z3", z(3)), ("z3^-1", z(3, -1))]), (-1, [("1", LaurentPoly.constant(1))])])
+@settings(max_examples=150, deadline=None)
+def test_signed_sum_matches_laurent_arithmetic(summands):
+    # monomial summands are folded into one term dict as they are read
+    text = _signed_sum_text(summands)
+    expected = ZERO
+    for sign, factors in summands:
+        product = functools.reduce(operator.mul, (p for _, p in factors))
+        expected = expected + product if sign > 0 else expected - product
+    got = parse_poly(text)
+    assert got.terms == expected.terms, text
     assert not any(isinstance(c, Fraction) and c.denominator == 1 for c in got.terms.values())

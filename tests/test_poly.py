@@ -11,6 +11,7 @@ from intshuffle._terms_py import div_binomial
 from intshuffle.errors import NonInvertibleImage, NotDivisible
 from intshuffle.expr import parse_poly
 from intshuffle.poly import (
+    MAX_Z_INDEX,
     Q1,
     Q2,
     LaurentPoly,
@@ -131,6 +132,15 @@ def test_variable_names_take_ascii_digits_only(name):
         LaurentPoly.variable(name)
     with pytest.raises(ValueError, match="unknown variable name"):
         substitute(z(1) * z(2), {name: Q1})
+
+
+def test_z_index_is_bounded():
+    assert LaurentPoly.variable(f"z{MAX_Z_INDEX}").terms == {(0,) * (MAX_Z_INDEX + 1) + (1,): 1}
+    for name in (f"z{MAX_Z_INDEX + 1}", "z99999999999999"):
+        with pytest.raises(ValueError, match="unknown variable name"):
+            LaurentPoly.variable(name)
+        with pytest.raises(ValueError, match="unknown variable name"):
+            LaurentPoly.variable(name, 0)
 
 
 def test_substitute_negative_exponent_needs_monomial():
