@@ -18,6 +18,26 @@ monomials beta of f, and a_gamma is 0 when gamma repeats an entry, else the
 permutation sign times a_{sorted gamma} (`alternant`).  With the factor
 V = a_delta this reads the coefficients of f off its monomials.
 
+`straighten_sum` does this on packed q-rows (Kronecker substitution).  A
+row is evaluated at q1 = 2^(B W), q2 = 2^B: one int whose B-bit digit
+k = (e1 - lo1) W + e2 - lo2 holds the coefficient of q1^e1 q2^e2.  Here
+lo1, lo2 are the least exponents of the call's inputs (so Laurent rows
+shift), and W spans the output's q2 exponents, so no product digit carries
+into the next q1 step; sums and products of rows become sums and products
+of ints.  With ||r|| the sum of |c| over a row, every input and output
+coefficient is at most M = (sum_alpha ||c_alpha||)(sum_t ||r_t||) in
+absolute value, and B is bitlen(M) + 1 rounded up to whole bytes: each
+digit d has -2^(B-1) < d < 2^(B-1), so decoding is exact.  Adding 2^(B-1)
+to every digit and xor-ing it back leaves each digit's two's complement,
+which `to_bytes` and an `array` read.  Rows holding a Fraction are first
+multiplied by the lcm of their denominators, and the output is divided by
+it once, giving an int wherever the value is integral.  A packed row has a
+digit for every point of the output's q-exponent box, occupied or not, and
+so do the q-part tables that pack and decode it (`_tables`, kept by shape
+for boxes of up to _CACHED_DIGITS points): a product whose box has more
+than _MAX_DIGITS points (256 x 256) raises ValueError instead, however few
+terms it has.
+
 Going back, `monomial_coefficients` gives f on the monomial symmetric basis,
 content mu -> {q-part: c}, by inverting the same map: m_mu V straightens to
 a_{mu + delta} plus alternants below it in lex order, so the largest
@@ -32,11 +52,31 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import sys
+from array import array
+from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from math import lcm
+from operator import add, attrgetter, lshift, sub
 
-from ._terms_py import add_into, mul_terms, trimmed
+from ._terms_py import add_into, trimmed
 from .poly import LaurentPoly, _render_groups
+
+# digit bytes -> (slot bytes, type code) of the `array` that reads such
+# signed digits, each in a slot of its own width or the next wider one
+_ARRAY_CODES = {array(code).itemsize: code for code in "bhiq"}
+_ARRAY_SLOTS = {
+    size: min((slot, code) for slot, code in _ARRAY_CODES.items() if slot >= size)
+    for size in range(1, max(_ARRAY_CODES) + 1)
+}
+# byte -> 0xff when its top bit is set, else 0: the sign extension of a digit
+_SIGN_FILL = bytes(255 if b & 0x80 else 0 for b in range(256))
+# the most digits a packed row may have: one for each point q1^e1 q2^e2 of
+# the output's exponent box, whether or not a term sits there
+_MAX_DIGITS = 1 << 16
+# the most digits of a call whose q-part tables `_tables` keeps; 64 such
+# entries hold about 13 MB
+_CACHED_DIGITS = 1 << 10
 
 
 @lru_cache(maxsize=1 << 16)
@@ -66,20 +106,141 @@ def group_by_z(terms: dict, n: int) -> dict:
 def straighten_sum(base: dict, shifts) -> dict:
     """Alternant coefficients of sum c_alpha r a_{alpha + t}, over the
     coefficients alpha -> c_alpha of `base` and the (z-exponents t, q-row r)
-    pairs of `shifts` (a collection: it is walked once per alpha), each
-    a_gamma straightened."""
+    pairs of `shifts`, each a_gamma straightened.
+
+    The q-rows are packed into ints (see above): the shift rows landing on
+    each gamma are summed as ints, each (alpha, gamma) pair costs one
+    multiply, and each output row is decoded once.  Raises ValueError when
+    the output's q-exponent box has more than _MAX_DIGITS points.
+    """
+    shifts = tuple(shifts)
+    rows_a, den_a, norm_a, lo1a, hi1a, lo2a, hi2a = _scan(list(base.values()))
+    rows_t, den_t, norm_t, lo1t, hi1t, lo2t, hi2t = _scan([row for _, row in shifts])
+    bound = norm_a * norm_t
+    if not bound:
+        return {}
+    lo1, lo2 = lo1a + lo1t, lo2a + lo2t
+    width = hi2a + hi2t - lo2 + 1
+    digits = (hi1a + hi1t - lo1 + 1) * width
+    if digits > _MAX_DIGITS:
+        raise ValueError(
+            f"q-exponents span {digits // width} x {width} in one product, "
+            f"more than the {_MAX_DIGITS} packed digits allowed")
+    # B = 8 * size bits > bitlen(M), so -2^(B-1) < every digit < 2^(B-1)
+    size = (bound.bit_length() + 8) // 8
+    bits = 8 * size
+    # a small box's tables are cached: building them costs about as much as
+    # a small call's work, while a large box's call outweighs its tables
+    tables = _tables if digits <= _CACHED_DIGITS else _tables.__wrapped__
+    where_a, where_t, qparts = tables(lo1a, hi1a, lo2a, lo1t, hi1t, lo2t, width, bits)
+    where = where_a.__getitem__
+    packed_a = [sum(map(lshift, row.values(), map(where, row))) for row in rows_a]
+    where = where_t.__getitem__
+    packed_t = [(t, sum(map(lshift, row.values(), map(where, row))))
+                for (t, _), row in zip(shifts, rows_t)]
     out: dict = {}
-    for alpha, c in base.items():
+    get = out.get
+    for alpha, c in zip(base, packed_a):
         # the shifts landing on each gamma, summed before multiplying by c
         by_gamma: dict = {}
-        for t, row in shifts:
+        at = by_gamma.get
+        for t, r in packed_t:
             got = straighten(tuple(map(add, alpha, t)))
             if got is not None:
                 sign, gamma = got
-                add_into(by_gamma.setdefault(gamma, {}), row, sign)
-        for gamma, row in by_gamma.items():
-            add_into(out.setdefault(gamma, {}), mul_terms(c, row))
-    return {gamma: row for gamma, row in out.items() if row}
+                by_gamma[gamma] = at(gamma, 0) + r if sign > 0 else at(gamma, 0) - r
+        for gamma, r in by_gamma.items():
+            if r:
+                out[gamma] = get(gamma, 0) + c * r
+    # 2^(B-1) in every digit: adding it makes each digit an unsigned B-bit
+    # one, and xor-ing it back leaves each digit's two's complement
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * digits, "little")
+    den = den_a * den_t
+    result = {}
+    for gamma, v in out.items():
+        if v:
+            values = _read_digits((v + bias) ^ bias, size, digits)
+            coeffs = filter(None, values)
+            if den != 1:
+                coeffs = [d // den if not d % den else Fraction(d, den) for d in coeffs]
+            result[gamma] = dict(zip(itertools.compress(qparts, values), coeffs))
+    return result
+
+
+def _scan(rows: list) -> tuple:
+    """(rows, den, norm, lo1, hi1, lo2, hi2) for a list of q-rows: the rows
+    times den, the lcm of their coefficients' denominators (ints are left
+    alone), the sum of the absolute values of the rows' coefficients after
+    that, and the ranges of their q1 and q2 exponents.  norm is 0 when there
+    are no coefficients."""
+    coeffs = list(itertools.chain.from_iterable(map(dict.values, rows)))
+    norm = sum(map(abs, coeffs))
+    if not norm:
+        return rows, 1, 0, 0, 0, 0, 0
+    den = 1
+    if type(norm) is not int:
+        # a Fraction somewhere: clear the denominators with one lcm
+        den = lcm(*map(attrgetter("denominator"), coeffs))
+        rows = [{q: c.numerator * (den // c.denominator) for q, c in row.items()}
+                for row in rows]
+        norm = int(norm * den)
+    keys = set().union(*rows)
+    e1 = {q[0] if q else 0 for q in keys}
+    e2 = {q[1] if len(q) > 1 else 0 for q in keys}
+    return rows, den, norm, min(e1), max(e1), min(e2), max(e2)
+
+
+def _box(lo1: int, hi1: int, lo2: int, hi2: int) -> list:
+    """The trimmed q-parts q1^e1 q2^e2 with lo1 <= e1 <= hi1, lo2 <= e2 <= hi2,
+    e1 major: the digits of a packed row of width hi2 - lo2 + 1, in order."""
+    box = list(itertools.product(range(lo1, hi1 + 1), range(lo2, hi2 + 1)))
+    if lo2 <= 0 <= hi2:
+        # the e2 = 0 column is the only one that trims
+        for k, e1 in zip(range(-lo2, len(box), hi2 - lo2 + 1), range(lo1, hi1 + 1)):
+            box[k] = (e1,) if e1 else ()
+    return box
+
+
+@lru_cache(maxsize=64)
+def _tables(lo1a: int, hi1a: int, lo2a: int, lo1t: int, hi1t: int, lo2t: int,
+            width: int, bits: int) -> tuple:
+    """(where_a, where_t, qparts) for packed rows of `width` digits of `bits`
+    bits per q1 step: q-part -> bit offset on the base side, which starts at
+    q1^lo1a q2^lo2a and ends at q1 exponent hi1a, the same on the shift side,
+    and the output's q-part at each digit.  Cached results are shared, so
+    callers only read them."""
+    return (_offsets(lo1a, hi1a, lo2a, width, bits),
+            _offsets(lo1t, hi1t, lo2t, width, bits),
+            tuple(_box(lo1a + lo1t, hi1a + hi1t, lo2a + lo2t, lo2a + lo2t + width - 1)))
+
+
+def _offsets(lo1: int, hi1: int, lo2: int, width: int, bits: int) -> dict:
+    """q-part -> the bit offset of its digit in a packed row of `width`
+    digits per q1 step that starts at q1^lo1 q2^lo2, for q1 exponents up to hi1."""
+    return dict(zip(_box(lo1, hi1, lo2, lo2 + width - 1), itertools.count(0, bits)))
+
+
+def _read_digits(u: int, size: int, digits: int):
+    """The signed `size`-byte digits of u, which holds each digit's two's
+    complement, least significant first."""
+    raw = u.to_bytes(size * digits, "little")
+    if size not in _ARRAY_SLOTS:
+        return [int.from_bytes(raw[i:i + size], "little", signed=True)
+                for i in range(0, size * digits, size)]
+    slot, code = _ARRAY_SLOTS[size]
+    if slot != size:
+        # spread the digits into wider slots, sign-extended
+        wide = bytearray(slot * digits)
+        for i in range(size):
+            wide[i::slot] = raw[i::size]
+        fill = raw[size - 1::size].translate(_SIGN_FILL)
+        for i in range(size, slot):
+            wide[i::slot] = fill
+        raw = wide
+    values = array(code, raw)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
 
 
 def alternant(f: LaurentPoly, n: int, base: dict | None = None) -> dict:

@@ -216,6 +216,20 @@ def test_verify_cert_files(tmp_path, capsys):
         assert code == 2 and err.startswith("error:") and message in err, (message, err)
 
 
+def test_a_q_factor_past_the_packed_box_is_an_error(tmp_path, capsys):
+    # a product packs its q-rows over their whole exponent box, up to
+    # 256 x 256 points: past that it is refused with exit 2, not computed
+    assert run(capsys, "expand", "(1 + q1^200 q2^200) sh[0]") == (0, "q1^200 q2^200 + 1\n", "")
+    code, out, err = run(capsys, "expand", "(1 + q1^4000 q2^4000) sh[0]")
+    assert (code, out) == (2, "") and err.startswith("error: q-exponents span 4001 x 4001")
+    code, out, _ = run(capsys, "reduce3", "[2,0,1]", "--json")
+    cert = dict(json.loads(out), combination=[["1 + q1^4000 q2^4000", [2, 0, 1]]])
+    cert_file = tmp_path / "wide.json"
+    cert_file.write_text(json.dumps(cert))
+    code, out, err = run(capsys, "verify-cert", str(cert_file))
+    assert (code, out) == (2, "") and err.startswith("error: q-exponents span"), err
+
+
 def test_verify_ideal_cert_file(tmp_path, capsys):
     # [2,-2,4] prints a cofactor A of about 990 terms, read back as one sum
     for word in ("[0,1,0]", "[2,-2,4]"):

@@ -4,17 +4,25 @@ exact division by the Vandermonde."""
 import copy
 import itertools
 import random
+from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from intshuffle._terms_py import add_into, mul_terms
 from intshuffle.poly import Q1, Q2, LaurentPoly, is_symmetric, z
 from intshuffle.schur import (
+    _MAX_DIGITS,
+    _tables,
     alternant,
     from_alternant,
     group_by_z,
     monomial_coefficients,
     straighten,
+    straighten_sum,
 )
 from intshuffle.shuffle import (
     _divide_vandermonde,
@@ -187,3 +195,110 @@ def test_divide_vandermonde_of_alternants_gives_schur_polynomials():
 )
 def test_straighten(gamma, expected):
     assert straighten(gamma) == expected
+
+
+# -- packed q-rows against the dict loop they replaced --------------------------
+
+
+def _reference_straighten_sum(base, shifts):
+    """straighten_sum on term dicts: each (alpha, gamma) pair's q-rows are
+    summed with add_into and multiplied with mul_terms."""
+    out = {}
+    for alpha, c in base.items():
+        by_gamma = {}
+        for t, row in shifts:
+            got = straighten(tuple(map(add, alpha, t)))
+            if got is not None:
+                sign, gamma = got
+                add_into(by_gamma.setdefault(gamma, {}), row, sign)
+        for gamma, row in by_gamma.items():
+            add_into(out.setdefault(gamma, {}), mul_terms(c, row))
+    return {gamma: row for gamma, row in out.items() if row}
+
+
+@st.composite
+def _qpart(draw):
+    """A trimmed q-part with Laurent exponents."""
+    e1, e2 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    return (e1, e2) if e2 else (e1,) if e1 else ()
+
+
+_nonzero = st.integers(-4, 4).filter(bool)
+# plain ints, integral Fractions (no `__index__`, so no array slot takes
+# them) and proper Fractions
+_coefficients = st.one_of(
+    _nonzero,
+    _nonzero.map(lambda k: Fraction(k, 1)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
+)
+# the digit width grows by a byte each time the bound M passes 2^(8i - 1):
+# an array reads 1, 2, 4 and 8 bytes, 3 and 5-7 bytes are spread into its
+# wider slots, and 9 bytes and more are read one digit at a time
+_edge_magnitudes = st.builds(
+    lambda k, d: 2**k + d,
+    st.sampled_from([7, 15, 23, 31, 39, 47, 55, 63, 100]),
+    st.integers(-2, 2),
+)
+
+
+@st.composite
+def _straighten_inputs(draw):
+    n = draw(st.integers(0, 3))
+    exponents = st.tuples(*[st.integers(-2, 2)] * n)
+    if draw(st.booleans()):
+        # one term against one: the output coefficient is M itself
+        c = draw(st.sampled_from([1, -1])) * draw(_edge_magnitudes)
+        c = Fraction(c, draw(st.sampled_from([1, 3])))
+        base = {draw(exponents): {draw(_qpart()): c}}
+        shifts = [(draw(exponents), {draw(_qpart()): draw(st.sampled_from([1, -1]))})]
+        return base, shifts
+    rows = st.dictionaries(_qpart(), _coefficients, min_size=1, max_size=4)
+    base = draw(st.dictionaries(exponents, rows, max_size=4))
+    shifts = draw(st.lists(st.tuples(exponents, rows), max_size=4))
+    return base, shifts
+
+
+@given(_straighten_inputs())
+@example(({(): {(): 2**15}}, [((), {(): 1})]))
+@example(({(): {(-1, 2): 2**63}}, [((), {(3, -3): -1})]))
+@settings(max_examples=300, deadline=None)
+def test_straighten_sum_matches_dict_reference(inputs):
+    base, shifts = inputs
+    got = straighten_sum(base, shifts)
+    assert got == _reference_straighten_sum(base, shifts)
+    for row in got.values():
+        assert row
+        for c in row.values():
+            # integral values come back as int, never as Fraction(k, 1)
+            assert c and (type(c) is int or c.denominator > 1)
+
+
+def test_straighten_sum_drops_rows_that_cancel():
+    # (2,0) + (0,1) = (2,1), and (2,0) + (-1,2) = (1,2), which straightens
+    # to -a_(2,1): the two rows are subtracted
+    row = {(1, -1): 3, (): Fraction(1, 2)}
+    assert straighten_sum({(2, 0): {(): 1}}, [((0, 1), row), ((-1, 2), row)]) == {}
+    other = {(1, -1): 3, (2,): 5}
+    got = straighten_sum({(2, 0): {(): 1}}, [((0, 1), row), ((-1, 2), other)])
+    assert got == {(2, 1): {(): Fraction(1, 2), (2,): -5}}
+    assert straighten_sum({}, [((0, 1), row)]) == {}
+    assert straighten_sum({(2, 0): row}, []) == {}
+
+
+def test_straighten_sum_packs_a_sparse_row_up_to_the_digit_cap():
+    # a packed row holds every point of the output's q-exponent box, so two
+    # far-apart terms fill a 256 x 256 box: the most it may hold.  One more
+    # q1 step is refused rather than packed.  Tables this large are built
+    # for the call and not kept.
+    assert _MAX_DIGITS == 256 * 256
+    base = {(1, 0): {(): 1, (-1, 2): Fraction(1, 2)}}
+    corners = {(-128, 2): 3, (126, 253): -1}
+    shifts = [((0, 0), corners), ((2, -1), {(): 1})]
+    kept = _tables.cache_info().currsize
+    got = straighten_sum(base, shifts)
+    assert _tables.cache_info().currsize == kept
+    assert got == _reference_straighten_sum(base, shifts)
+    assert got[(1, 0)][(125, 255)] == Fraction(-1, 2)
+    wider = [((0, 0), {**corners, (127, 253): 1})] + shifts[1:]
+    with pytest.raises(ValueError, match="257 x 256"):
+        straighten_sum(base, wider)

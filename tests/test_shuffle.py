@@ -1,6 +1,8 @@
 """Shuffle product: kernel, symmetrization, goldens, and structural laws."""
 
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from intshuffle.errors import NotSymmetric
 from intshuffle.poly import Q1, Q2, LaurentPoly, is_symmetric, substitute, z
 from intshuffle.shuffle import (
     ShuffleElement,
+    _word_alternant,
     omega_numerator,
     one_variable,
     scalar,
@@ -228,3 +231,21 @@ def test_shuffle_element_validation():
 def test_mixed_arity_addition_rejected():
     with pytest.raises(ValueError):
         shuffle_word([0, 0]) + shuffle_word([0])
+
+
+def test_arity_six_word_alternants_pinned():
+    # the fold at arity 6, as derived before its q-rows were packed: the 247
+    # alternants of [0,0,0,0,0,0] with their rows sorted
+    coeffs = _word_alternant((0,) * 6)
+    text = repr(sorted((alpha, sorted(row.items())) for alpha, row in coeffs.items()))
+    assert len(coeffs) == 247
+    assert hashlib.md5(text.encode()).hexdigest() == "987d25566c9c785860a08a0cc67fe81b"
+
+
+def test_scaling_back_stores_int_coefficients():
+    word = shuffle_word([0, 0, 1])
+    half = word.scaled(Fraction(1, 2))
+    assert any(type(c) is Fraction for row in half.coeffs.values() for c in row.values())
+    back = half.scaled(2)
+    assert back == word
+    assert all(type(c) is int for row in back.coeffs.values() for c in row.values())
