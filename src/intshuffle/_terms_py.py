@@ -1,16 +1,21 @@
 """Term-map kernel: the operations `intshuffle.poly` builds on.
 
 A polynomial is a dict mapping exponent tuples to nonzero rational
-coefficients (int or Fraction).  Slot 0 holds the q1 exponent, slot 1 the
-q2 exponent, slot i+1 the z_i exponent; trailing zeros are trimmed so equal
-monomials always share one key.  The zero polynomial is the empty dict.
+coefficients.  Slot 0 holds the q1 exponent, slot 1 the q2 exponent, slot
+i+1 the z_i exponent; trailing zeros are trimmed so equal monomials always
+share one key.  The zero polynomial is the empty dict.
 
-Functions return fresh dicts and leave their arguments alone, except the
-accumulator `add_into`, which updates its first argument in place.
+Coefficients are in normal form: an int when integral, a `Fraction` with
+denominator above 1 otherwise.  Inputs in normal form give outputs in normal
+form, and only `normal`, `ratio` and `cleared` create or remove denominators.
 
-Only what carries an algorithm or a key format lives here: `LaurentPoly`
-writes its sums, negation and scaling itself, as a copy plus `add_into` or a
-comprehension.  `mul_terms` works on packed keys: a monomial of s slots
+Functions leave their arguments alone and return fresh dicts, except that
+`cleared` hands maps of ints back as they are and the accumulator
+`add_into` updates its first argument in place.
+
+Only what carries an algorithm, a key format or the normal form lives here:
+`LaurentPoly` writes its sums and negation itself, as a copy plus `add_into`
+or a comprehension.  `mul_terms` works on packed keys: a monomial of s slots
 becomes one int holding e_i + 2^(b-1) in bits [b*i, b*(i+1)), so
 multiplying two monomials is adding two ints.  It packs its input and
 unpacks its result, so callers only ever see tuples; a single-term operand
@@ -20,8 +25,48 @@ skips the packing.
 from __future__ import annotations
 
 import struct
+from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from itertools import chain
+from math import lcm
+from operator import attrgetter, itemgetter
+
+
+def normal(c):
+    """c in normal form: an integral Fraction becomes its int."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def ratio(c, d):
+    """c / d in normal form, for d nonzero: c // d when both are ints and d
+    divides c, so no Fraction is built."""
+    if type(c) is int and type(d) is int:
+        q, r = divmod(c, d)
+        return Fraction(c, d) if r else q
+    return normal(c / d)
+
+
+def cleared(maps: list) -> tuple:
+    """(den, the maps times den): den is the lcm of every coefficient's
+    denominator, so the new maps hold ints only.  Maps that hold ints only
+    come back as they are, with den 1."""
+    coeffs = list(chain.from_iterable(map(dict.values, maps)))
+    if _all_ints(coeffs):
+        return 1, maps
+    den = lcm(*map(attrgetter("denominator"), coeffs))
+    return den, [{m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+                 for terms in maps]
+
+
+_INT = frozenset([int])
+
+
+def _all_ints(values) -> bool:
+    """Whether every value is an int: stops at the first that is not, where
+    a sum, the faster test on ints, would add up every Fraction after it."""
+    return _INT.issuperset(map(type, values))
 
 
 def mono_mul(m1: tuple, m2: tuple) -> tuple:
@@ -59,10 +104,12 @@ def add_into(r: dict, b: dict, sign: int = 1) -> None:
             r[m] = c
         else:
             c0 = c0 + c
-            if c0:
-                r[m] = c0
-            else:
+            if not c0:
                 del r[m]
+            elif type(c0) is int:
+                r[m] = c0
+            else:  # two Fractions may have summed to an integer
+                r[m] = normal(c0)
 
 
 def mul_terms(a: dict, b: dict) -> dict:
@@ -74,17 +121,22 @@ def mul_terms(a: dict, b: dict) -> dict:
         (mono, c), = a.items()
         if c == 1 and not mono:
             return dict(b)
-        return {mono_mul(m, mono): cc * c for m, cc in b.items()}
-    pack, unpack, bias = _codec(max(_width(a), _width(b)), _reach(a) + _reach(b))
-    packed_b = [(pack(m) - bias, c) for m, c in b.items()]
-    out: dict = {}
-    get = out.get
-    for ma, ca in a.items():
-        ka = pack(ma)
-        for kb, cb in packed_b:
-            k = ka + kb
-            out[k] = get(k, 0) + ca * cb
-    return {unpack(k): c for k, c in out.items() if c}
+        out = {mono_mul(m, mono): cc * c for m, cc in b.items()}
+    else:
+        pack, unpack, bias = _codec(max(_width(a), _width(b)), _reach(a) + _reach(b))
+        packed_b = [(pack(m) - bias, c) for m, c in b.items()]
+        sums: dict = {}
+        get = sums.get
+        for ma, ca in a.items():
+            ka = pack(ma)
+            for kb, cb in packed_b:
+                k = ka + kb
+                sums[k] = get(k, 0) + ca * cb
+        out = {unpack(k): c for k, c in sums.items() if c}
+    if _all_ints(a.values()) and _all_ints(b.values()):
+        return out
+    # an int times a Fraction, or two Fractions, may be integral
+    return {m: normal(c) for m, c in out.items()}
 
 
 def div_binomial(a: dict, sa: int, sb: int) -> dict:
@@ -124,7 +176,10 @@ def div_binomial(a: dict, sa: int, sb: int) -> dict:
             prev = t
         if d:
             raise ValueError("binomial division is not exact")
-    return out
+    if _all_ints(a.values()):
+        return out
+    # a difference of two Fractions may be integral
+    return {m: normal(c) for m, c in out.items()}
 
 
 def permute_slots(a: dict, src: tuple) -> dict:

@@ -43,10 +43,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+
+from ._terms_py import cleared, ratio
 from .errors import ArityTooSmall, IdentityViolated, NotDivisible
 from .expr import as_element
 from .generators import (
@@ -197,18 +197,9 @@ def verify_ideal_certificate(cert: IdealCertificate) -> bool:
     with L the lcm of the cofactors' denominators, so the products run on
     integer coefficients (g1 and g2 are integral)."""
     gens = ideal_generators()
-    lcm = math.lcm(*(c.denominator for p in (cert.A, cert.B) for c in p.terms.values()
-                     if isinstance(c, Fraction)))
-    a, b = _cleared(cert.A, lcm), _cleared(cert.B, lcm)
-    return a * gens.g1 + b * gens.g2 == lcm * cert.target_poly()
-
-
-def _cleared(p: LaurentPoly, lcm: int) -> LaurentPoly:
-    """lcm * p as integer coefficients; lcm is a multiple of every denominator."""
-    return LaurentPoly._raw(
-        {m: c * lcm if isinstance(c, int) else c.numerator * (lcm // c.denominator)
-         for m, c in p.terms.items()}
-    )
+    den, (a, b) = cleared([cert.A.terms, cert.B.terms])
+    return (LaurentPoly._raw(a) * gens.g1 + LaurentPoly._raw(b) * gens.g2
+            == den * cert.target_poly())
 
 
 @lru_cache(maxsize=128)
@@ -266,10 +257,7 @@ def ideal_certificate(word: WordLike | GeneratorWord) -> IdealCertificate:
 
 def _halved(p: LaurentPoly) -> LaurentPoly:
     """p / 2, with every integral coefficient an int."""
-    return LaurentPoly._raw(
-        {m: c // 2 if isinstance(c, int) and not c & 1 else Fraction(c, 2)
-         for m, c in p.terms.items()}
-    )
+    return LaurentPoly._raw({m: ratio(c, 2) for m, c in p.terms.items()})
 
 
 # -- corollary divisibility ------------------------------------------------------

@@ -57,10 +57,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
-from ._terms_py import add_into, mono_mul
+from ._terms_py import add_into, mono_mul, normal, ratio
 from .errors import ArityMismatch, ExprSyntaxError, NotSymmetric
 from .poly import LaurentPoly, _slot, signed_sum
 from .shuffle import ShuffleElement, element_sum, one_variable, scalar, shuffle, shuffle_word
@@ -180,19 +179,17 @@ def _variable(name: str, pos: int) -> tuple[tuple, int]:
     return (0,) * slot + (1,), max(slot - 1, 0)
 
 
-def _rational(num: int, den: int | None, den_pos: int):
-    """The number num or num/den, its denominator written at `den_pos`."""
-    if den is None:
-        return num
+def _rational(num: int, den: int, den_pos: int | None):
+    """The number num/den, its denominator (if any) written at `den_pos`."""
     if not den:
         raise ExprSyntaxError(den_pos, "zero denominator")
-    return Fraction(num, den)
+    return ratio(num, den)
 
 
 def _mono_power(exps: tuple, c, e: int) -> tuple:
     """(exps, coeff) of (c * prod var^exps)^e, for c nonzero or e >= 0."""
     power = tuple(x * e for x in exps) if e else ()
-    return power, (c**e if e >= 0 else Fraction(c) ** e)
+    return power, (c**e if e > 0 else ratio(1, c**-e))
 
 
 # -- parser --------------------------------------------------------------------
@@ -280,9 +277,6 @@ class _Parser:
             n = max(n, rn)
         # positioned at the last '+' or '-', the operator applied last
         if folded is not None:
-            for mono, c in folded.items():  # as LaurentPoly stores an integral coefficient
-                if type(c) is Fraction and c.denominator == 1:
-                    folded[mono] = c.numerator
             poly = Poly(pos, LaurentPoly._raw(folded))
             if not terms:
                 return poly, kind, n
@@ -331,7 +325,8 @@ class _Parser:
             if kind != ELEMENT and type(factor) is tuple:
                 if run is not None:  # several monomials: positioned like a Juxt
                     c = factor[2]  # 1 for a variable: skip the (Fraction) product
-                    factor = (start, mono_mul(run[1], factor[1]), run[2] if c == 1 else run[2] * c)
+                    factor = (start, mono_mul(run[1], factor[1]),
+                              run[2] if c == 1 else normal(run[2] * c))
                 run, kind = factor, SCALAR
                 if fn > n:
                     n = fn
@@ -367,7 +362,7 @@ class _Parser:
         its '^', like one parsed by `parse_power`."""
         name, e, num, den = m.group(2, 3, 4, 5)
         if name is None:
-            entry = (0, (), _rational(int(num), None if den is None else int(den), m.start(5)), 0)
+            entry = (0, (), _rational(int(num), 1 if den is None else int(den), m.start(5)), 0)
         else:
             exps, n = _variable(name, m.start())
             entry = (0, exps, 1, n) if e is None else (len(name), *_mono_power(exps, 1, int(e)), n)
@@ -419,7 +414,7 @@ class _Parser:
         m = _INT.match(self.text, pos)
         if m is not None:
             self.pos = m.end()
-            den = den_pos = None
+            den, den_pos = 1, None
             if self.at_sym("/"):
                 self.advance()
                 den_pos = self.pos

@@ -2,8 +2,8 @@
 
 Values live in Q[q1^{±1}, q2^{±1}, z1^{±1}, ..., zk^{±1}]: the two parameter
 variables q1, q2 and arity-indexed variables z1, z2, ...  Coefficients are
-exact rationals (python int when integral, `fractions.Fraction` otherwise;
-the two hash and compare consistently so term maps stay canonical).
+exact rationals in the term kernel's normal form (see `_terms_py`): a python
+int when integral, a `fractions.Fraction` otherwise.
 
 Representation: a mapping from exponent tuples to nonzero coefficients.
 Slot 0 of a tuple is the q1 exponent, slot 1 the q2 exponent, slot i+1 the
@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import reduce
 from operator import add, itemgetter, lt, neg, sub
 from typing import Iterable, Mapping, Union
 
-from ._terms_py import add_into, div_binomial, mul_terms, permute_slots, trimmed
+from ._terms_py import add_into, div_binomial, mul_terms, normal, permute_slots, ratio, trimmed
 from .errors import NonInvertibleImage, NotDivisible
 
 Coefficient = Union[int, Fraction]
@@ -71,12 +72,6 @@ def _slot_name(slot: int) -> str:
     return f"z{slot - 1}"
 
 
-def _norm_coeff(c: Coefficient) -> Coefficient:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 class LaurentPoly:
     """An immutable exact Laurent polynomial."""
 
@@ -84,23 +79,10 @@ class LaurentPoly:
 
     def __init__(self, terms: Mapping[tuple, Coefficient] | None = None):
         clean: dict = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = _norm_coeff(
-                    coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
-                )
-                if not coeff:
-                    continue
-                key = trimmed(tuple(mono))
-                prev = clean.get(key)
-                if prev is None:
-                    clean[key] = coeff
-                else:
-                    total = prev + coeff
-                    if total:
-                        clean[key] = total
-                    else:
-                        del clean[key]
+        for mono, coeff in (terms or {}).items():
+            coeff = normal(coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff))
+            if coeff:
+                add_into(clean, {trimmed(tuple(mono)): coeff})
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
@@ -120,8 +102,7 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, c: Coefficient) -> "LaurentPoly":
-        c = _norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
-        return cls._raw({(): c} if c else {})
+        return cls({(): c})
 
     @classmethod
     def variable(cls, name: str, exponent: int = 1) -> "LaurentPoly":
@@ -138,11 +119,10 @@ class LaurentPoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == LaurentPoly.constant(other).terms
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
         h = self._hash
@@ -206,13 +186,10 @@ class LaurentPoly:
         return LaurentPoly._raw({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return LaurentPoly.zero()
-            return LaurentPoly._raw({m: c * other for m, c in self.terms.items()})
-        if isinstance(other, LaurentPoly):
-            return LaurentPoly._raw(mul_terms(self.terms, other.terms))
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return LaurentPoly._raw(mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -238,9 +215,7 @@ class LaurentPoly:
         if len(self.terms) != 1:
             raise ValueError("only a single-term monomial is invertible")
         (mono, coeff), = self.terms.items()
-        return LaurentPoly._raw(
-            {trimmed(tuple(-e for e in mono)): _norm_coeff(Fraction(1, 1) / coeff)}
-        )
+        return LaurentPoly._raw({trimmed(tuple(-e for e in mono)): ratio(1, coeff)})
 
     # -- structure queries --------------------------------------------------
 
@@ -302,8 +277,7 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
             message = f"{render(d)} does not divide a {len(p.terms)}-term dividend"
             raise NotDivisible(message) from None
         if lead != 1:
-            inverse = _norm_coeff(Fraction(1, 1) / lead)
-            quotient = {m: c * inverse for m, c in quotient.items()}
+            quotient = {m: ratio(c, lead) for m, c in quotient.items()}
         return LaurentPoly._raw(quotient)
 
     pad = (0,) * max(map(len, [*p.terms, *d.terms]))
@@ -323,7 +297,7 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
         qm = tuple(map(sub, mono, lead))
         if any(map(lt, qm, low)):
             raise NotDivisible(f"{render(d)} does not divide a {len(p.terms)}-term dividend")
-        qc = _norm_coeff(Fraction(c) / lead_coeff)
+        qc = ratio(c, lead_coeff)
         quotient[trimmed(qm)] = qc
         for dm, dc in den.items():
             m = tuple(map(add, dm, qm))
@@ -396,9 +370,9 @@ def substitute(p: LaurentPoly, images: Mapping[str, Scalar]) -> LaurentPoly:
         groups.setdefault(key, {})[trimmed(tuple(kept))] = coeff
     total: dict = {}
     for key, rest in groups.items():
-        for slot, e in zip(slots, key):
-            if e:
-                rest = mul_terms(rest, image_power(slot, e))
+        powers = [image_power(slot, e) for slot, e in zip(slots, key) if e]
+        if powers:
+            rest = mul_terms(rest, reduce(mul_terms, powers))
         add_into(total, rest)
     return LaurentPoly._raw(total)
 
@@ -451,12 +425,6 @@ def is_symmetric(p: LaurentPoly, k: int) -> bool:
 # -- canonical rendering ------------------------------------------------------
 
 
-def _coeff_str(c: Coefficient) -> str:
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(int(c))
-
-
 def _render_groups(groups: dict) -> str:
     """Canonical text of terms grouped by (total degree, q1 exponent, q2
     exponent), each group a list of (z-exponents, coefficient) with the
@@ -499,11 +467,11 @@ def _render_groups(groups: dict) -> str:
             if head is None:
                 mag = abs(coeff)
                 head = heads[coeff] = ("- " if coeff < 0 else "+ ") + (
-                    "" if mag == 1 else _coeff_str(mag) + " ")
+                    "" if mag == 1 else f"{mag} ")
             if body:
                 pieces.append(head + body)
             else:  # the constant term
-                pieces.append(head[:2] + _coeff_str(abs(coeff)))
+                pieces.append(head[:2] + str(abs(coeff)))
         chunks.append(" ".join(pieces))
     first = chunks[0]
     chunks[0] = "-" + first[2:] if first[0] == "-" else first[2:]

@@ -30,8 +30,8 @@ absolute value, and B is bitlen(M) + 1 rounded up to whole bytes: each
 digit d has -2^(B-1) < d < 2^(B-1), so decoding is exact.  Adding 2^(B-1)
 to every digit and xor-ing it back leaves each digit's two's complement,
 which `to_bytes` and an `array` read.  Rows holding a Fraction are first
-multiplied by the lcm of their denominators, and the output is divided by
-it once, giving an int wherever the value is integral.  A packed row has a
+`cleared` of their denominators, and the output is divided by the lcm once
+(`ratio`), giving an int wherever the value is integral.  A packed row has a
 digit for every point of the output's q-exponent box, occupied or not, and
 so do the q-part tables that pack and decode it (`_tables`, kept by shape
 for boxes of up to _CACHED_DIGITS points): a product whose box has more
@@ -54,12 +54,10 @@ import heapq
 import itertools
 import sys
 from array import array
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from operator import add, attrgetter, lshift, sub
+from operator import add, lshift, sub
 
-from ._terms_py import add_into, trimmed
+from ._terms_py import add_into, cleared, ratio, trimmed
 from .poly import LaurentPoly, _render_groups
 
 # digit bytes -> (slot bytes, type code) of the `array` that reads such
@@ -162,27 +160,22 @@ def straighten_sum(base: dict, shifts) -> dict:
             values = _read_digits((v + bias) ^ bias, size, digits)
             coeffs = filter(None, values)
             if den != 1:
-                coeffs = [d // den if not d % den else Fraction(d, den) for d in coeffs]
+                coeffs = [ratio(d, den) for d in coeffs]
             result[gamma] = dict(zip(itertools.compress(qparts, values), coeffs))
     return result
 
 
 def _scan(rows: list) -> tuple:
     """(rows, den, norm, lo1, hi1, lo2, hi2) for a list of q-rows: the rows
-    times den, the lcm of their coefficients' denominators (ints are left
-    alone), the sum of the absolute values of the rows' coefficients after
-    that, and the ranges of their q1 and q2 exponents.  norm is 0 when there
-    are no coefficients."""
-    coeffs = list(itertools.chain.from_iterable(map(dict.values, rows)))
-    norm = sum(map(abs, coeffs))
+    `cleared` by den, the sum of the absolute values of the rows'
+    coefficients after that, and the ranges of their q1 and q2 exponents.
+    norm is 0 when there are no coefficients."""
+    norm = sum(map(abs, itertools.chain.from_iterable(map(dict.values, rows))))
     if not norm:
         return rows, 1, 0, 0, 0, 0, 0
     den = 1
-    if type(norm) is not int:
-        # a Fraction somewhere: clear the denominators with one lcm
-        den = lcm(*map(attrgetter("denominator"), coeffs))
-        rows = [{q: c.numerator * (den // c.denominator) for q, c in row.items()}
-                for row in rows]
+    if type(norm) is not int:  # a Fraction somewhere; the sum is the cheap test for ints
+        den, rows = cleared(rows)
         norm = int(norm * den)
     keys = set().union(*rows)
     e1 = {q[0] if q else 0 for q in keys}

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from ._terms_py import add_into, mul_terms
+from ._terms_py import add_into, mul_terms, ratio
 from .errors import NotSymmetric
 from .poly import (
     ONE,
@@ -211,7 +211,7 @@ def shuffle_full_sym(left: ShuffleElement, right: ShuffleElement) -> ShuffleElem
                 correction = exact_div(correction, z(a) - z(b))
                 term = term * omega_numerator(a, b)
         numerator = numerator + term * correction
-    scale = Fraction(1, math.factorial(k) * math.factorial(l))
+    scale = ratio(1, math.factorial(k) * math.factorial(l))
     return ShuffleElement(n, _divide_vandermonde(numerator, n) * scale)
 
 

@@ -20,6 +20,7 @@ from intshuffle.poly import (
     permute_z,
     relabel_z,
     render,
+    signed_sum,
     substitute,
     z,
 )
@@ -338,6 +339,7 @@ _images = st.dictionaries(
 @example(z(1) * z(2) ** -1 + z(2), {"z2": -z(1)})
 @example(z(1) ** -1 * z(3) + Q1, {"z1": Q * z(3), "z3": z(1)})
 @example(z(2) ** -1 + z(1), {"z2": z(1) + z(2)})
+@example(z(1) ** 2 * z(2) + z(1) * z(2) ** 2, {"z1": Q * z(3), "z2": 1 - z(1) * z(3)})
 @settings(max_examples=200, deadline=None)
 def test_substitute_matches_per_term_reference(p, images):
     try:
@@ -466,10 +468,38 @@ def _mixed_polys(draw):
     return LaurentPoly(terms)
 
 
-@given(_mixed_polys())
+def _assert_normal(p):
+    """No coefficient is stored as a Fraction with denominator 1."""
+    assert not [c for c in p.terms.values() if isinstance(c, Fraction) and c.denominator == 1]
+
+
+_HALF = LaurentPoly.constant(Fraction(1, 2))
+
+
+@given(_mixed_polys(), _mixed_polys(), _fraction_coeffs)
+# products and sums of halves that are integers, and must be stored as ints
+@example(_HALF * z(1), LaurentPoly.zero(), 2)
+@example(_HALF * z(1), _HALF * z(1), 0)
+@example(_HALF * z(1), 2 * z(2), 0)
+@example(_HALF * z(1), _HALF * z(1) + Q1, 0)
 @settings(max_examples=300, deadline=None)
-def test_render_matches_sorted_reference(p):
+def test_render_matches_sorted_reference(p, r, c):
     assert render(p) == _reference_render(p)
+    # every operation keeps coefficients in normal form
+    for value in (p, p + r, p - r, p * r, p * c, c * p, signed_sum([(1, p), (-1, r)]), p**2,
+                  substitute(p, {"z1": 2 * z(3), "z2": Fraction(1, 2) * Q1})):
+        _assert_normal(value)
+    if len(p.terms) == 1:
+        _assert_normal(p**-1)
+    if r:
+        _assert_normal(exact_div(p * r, r))
+    if c:
+        binomial = c * (z(1) - z(2))
+        _assert_normal(exact_div(p * binomial, binomial))
+    # the parser folds a sum of monomials, and adds a parenthesised sum to it
+    parsed = parse_poly(f"{render(p)} + ({render(r)})")
+    assert parsed == p + r
+    _assert_normal(parsed)
 
 
 @st.composite
