@@ -194,23 +194,21 @@ def shuffle(left: ShuffleElement, right: ShuffleElement) -> ShuffleElement:
 def shuffle_full_sym(left: ShuffleElement, right: ShuffleElement) -> ShuffleElement:
     """Reference evaluation straight from the defining formula.
 
-    Sums all (k+l)! permutations and multiplies by 1/(k!.l!).  Exponentially
-    slower than `shuffle`; kept as an independent cross-check.
+    As prod_{i<=k<j}(z_i - z_j) = V / (V_k V'), V' the Vandermonde of z_{k+1}..z_n,
+    Sym[F] is the sum over all n! sigma of sign(sigma) sigma(G), divided by V, for the
+    one product G = P V_k . Q V' . prod_{i<=k<j} omega_num(z_i, z_j); then 1/(k!.l!).
+    Exponentially slower than `shuffle`; kept as an independent cross-check.
     """
     k, l = left.arity, right.arity
     n = k + l
-    numerator = LaurentPoly.zero()
-    vandermonde = _vandermonde(n)
-    for perm in itertools.permutations(range(1, n + 1)):
-        p_rel = relabel_z(left.poly, {i + 1: perm[i] for i in range(k)})
-        q_rel = relabel_z(right.poly, {j + 1: perm[k + j] for j in range(l)})
-        term = p_rel * q_rel
-        correction = vandermonde
-        for a in perm[:k]:
-            for b in perm[k:]:
-                correction = exact_div(correction, z(a) - z(b))
-                term = term * omega_numerator(a, b)
-        numerator = numerator + term * correction
+    g = left.poly * _vandermonde(k) * relabel_z(
+        right.poly * _vandermonde(l), {j: k + j for j in range(1, l + 1)})
+    for a in range(1, k + 1):
+        for b in range(k + 1, n + 1):
+            g = g * omega_numerator(a, b)
+    numerator = signed_sum(
+        ((-1) ** sum(i > j for i, j in itertools.combinations(perm, 2)), permute_z(g, perm))
+        for perm in itertools.permutations(range(1, n + 1)))
     scale = ratio(1, math.factorial(k) * math.factorial(l))
     return ShuffleElement(n, _divide_vandermonde(numerator, n) * scale)
 

@@ -27,7 +27,15 @@ from intshuffle.generators import (
     verify_lemma,
 )
 from intshuffle.poly import Q1, Q2, LaurentPoly, is_symmetric, z
-from intshuffle.shuffle import ShuffleElement, one_variable, shuffle, shuffle_word, sym
+from intshuffle.shuffle import (
+    ShuffleElement,
+    one_variable,
+    scalar,
+    shuffle,
+    shuffle_full_sym,
+    shuffle_word,
+    sym,
+)
 
 Q = Q1 * Q2
 
@@ -94,6 +102,17 @@ def test_criterion_02_golden_expansion_letter(capsys):
             + Q * z(2) ** 3
         )
         assert shuffle_word([1, 0]).poly == expected
+
+
+def test_reference_reproduces_golden_expansions():
+    # the reference on its own, not against `shuffle`: criteria 1 and 2, and
+    # its arity-0 edges, where one Vandermonde is 1 and the shift map is empty
+    assert str(shuffle_full_sym(one_variable(0), one_variable(0))) == GOLDEN_00
+    assert str(shuffle_full_sym(one_variable(1), one_variable(0))) == GOLDEN_10
+    x = shuffle_word([1, 0])
+    assert shuffle_full_sym(scalar(2), x) == x.scaled(2)
+    assert shuffle_full_sym(x, scalar(2)) == x.scaled(2)
+    assert shuffle_full_sym(scalar(2), scalar(3)) == scalar(6)
 
 
 def test_criterion_03_simplified_generator_identity():

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intshuffle.errors import NotSymmetric
@@ -179,13 +179,23 @@ def _scaled_word(draw, k):
     return word.scaled(draw(_symmetric_scalar(k)))
 
 
+# Fraction-scaled operands: their rows go through straighten_sum's clearing
+# and `ratio` decode, which the drawn scalars (coefficients -2, -1, 1, 3) never reach
+_HALF_SWAP = shuffle_word([1, 0]).scaled(Fraction(1, 2) * Q1**-1 * sym(z(1) * z(2, -1), 2))
+_TWO_THIRDS = one_variable(0).scaled(Fraction(-2, 3) * Q2)
+_THREE_QUARTERS = shuffle_word([0, 1]).scaled(Fraction(3, 4))
+
+
 @given(
     st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]).flatmap(
         lambda split: st.tuples(_scaled_word(split[0]), _scaled_word(split[1]))
     )
 )
-# the reference sums (k+l)! products: an arity-4 example costs it 5-10 s
-@settings(max_examples=6, deadline=None)
+@example((_HALF_SWAP, _TWO_THIRDS))
+@example((_TWO_THIRDS, _THREE_QUARTERS))
+# the reference forms one product and sums its n! signed images: an arity-4
+# example costs it 1-4 s
+@settings(max_examples=8, deadline=None)
 def test_shuffle_matches_full_sym_reference(operands):
     left, right = operands
     assert shuffle(left, right).poly == shuffle_full_sym(left, right).poly
