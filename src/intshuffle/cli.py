@@ -243,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # deeply nested input, or a reduction whose letters spread too far
+        # deeply nested input: parentheses nested past the interpreter's limit
         print("error: the computation recursed too deeply", file=sys.stderr)
         return 2
 

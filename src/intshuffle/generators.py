@@ -13,22 +13,22 @@ explicit combination of the finite generating sets
   arity 3:  [d1,d2,0] with 0 <= d1 <= 2, 0 <= d2 <= 1
 
 with symmetric-polynomial cofactors, returning a ModuleCertificate that
-`verify_certificate` checks exactly.  Both go through one memoized
-rewrite, `_reduce`: it shifts a word to minimum exponent 0 with action (a),
-stops at basis words, and otherwise applies the one rewrite rule of the
-word's arity.  Arity 2 has two action-(b) rewrites; arity 3 has a table of
-base-case identities inside [0,2]^3 (including the variants obtained by
-swapping the last two letters) and two action-(b) rewrites for larger
-exponents.  A rewrite is a sum of scalar * word terms and the reduction
-recurses into each word, so its depth grows with the spread of the letters.
+`verify_certificate` checks exactly.  Each word outside the basis has one
+rewrite, a sum of scalar * word terms: action (a) shifts it to minimum 0,
+or else its arity's rule applies (arity 2: two action-(b) rewrites; arity
+3: base identities inside [0,2]^3, also with the last two letters swapped,
+and two action-(b) rewrites above them).  `_reduce_word` makes one pass and
+pops words largest letter first, then largest letter sum, then smallest
+word, each handing its share down its rewrite.  A word whose letters spread
+over more than 2000 (arity 2) or 100 (arity 3) is refused.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import ArityTooSmall, NotSymmetric
@@ -278,39 +278,39 @@ def _rewrite3(word: tuple[int, ...]) -> _Rewrite:
             (-_E3_3, build(n - 1, d2 - 1, 0)))
 
 
-# arity -> (basis words, rewrite of a min-0 word outside the basis)
+# arity -> (basis words, rewrite of a min-0 word outside the basis, largest
+# letter spread accepted: the work grows about as the spread's fourth power)
 _RULES = {
-    2: ({w.exponents for w in BASIS2}, _rewrite2),
-    3: ({w.exponents for w in BASIS3}, _rewrite3),
+    2: ({w.exponents for w in BASIS2}, _rewrite2, 2000),
+    3: ({w.exponents for w in BASIS3}, _rewrite3, 100),
 }
 
 
-@lru_cache(maxsize=1024)
-def _reduce(word: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], LaurentPoly], ...]:
-    """`word` as (basis word, cofactor) pairs sorted by word: a nonzero
-    minimum is shifted out by action (a), then one rewrite applies."""
-    shift = min(word)
-    basis, rewrite = _RULES[len(word)]
-    if shift:
-        steps: _Rewrite = ((_product_power_poly(len(word), shift), tuple(d - shift for d in word)),)
-    elif word in basis:
-        return ((word, ONE),)
-    else:
-        steps = rewrite(word)
-    combo: dict = {}
-    for scalar_, sub in steps:
-        for basis_word, cofactor in _reduce(sub):
-            term = scalar_ * cofactor
-            prev = combo.get(basis_word)
-            combo[basis_word] = term if prev is None else prev + term
-    return tuple(sorted((w, c) for w, c in combo.items() if c))
-
-
 def _reduce_word(word: WordLike | GeneratorWord, arity: int) -> ModuleCertificate:
+    """`word` over the arity's basis.  A rewrite lowers (largest letter, sum) or
+    keeps it and gives a larger word, so no share reaches a word after its pop."""
     w = as_word(word)
     if w.arity != arity:
         raise ArityTooSmall(f"reduce{arity} requires an arity-{arity} word")
-    return ModuleCertificate(w, tuple((c, GeneratorWord(b)) for b, c in _reduce(w.exponents)))
+    basis, rewrite, max_spread = _RULES[arity]
+    spread = max(w) - min(w)
+    if spread > max_spread:
+        raise ValueError(f"the letters of {w} spread over {spread}; "
+                         f"reduce{arity} accepts at most {max_spread}")
+    shares = {w.exponents: ONE}
+    heap = [] if w.exponents in basis else [(-max(w), -sum(w), w.exponents)]
+    while heap:
+        current = heapq.heappop(heap)[2]
+        share = shares.pop(current)
+        shift = min(current)
+        steps = rewrite(current) if not shift else (
+            (_product_power_poly(arity, shift), tuple(d - shift for d in current)),)
+        for scalar_, sub in steps:
+            term = scalar_ * share
+            if sub not in shares and sub not in basis:
+                heapq.heappush(heap, (-max(sub), -sum(sub), sub))
+            shares[sub] = shares[sub] + term if sub in shares else term
+    return ModuleCertificate(w, tuple((c, GeneratorWord(b)) for b, c in shares.items() if c))
 
 
 def reduce2(word: WordLike | GeneratorWord) -> ModuleCertificate:

@@ -308,12 +308,22 @@ def test_parse_error_exit_code(capsys):
     assert err.startswith("error:")
 
 
-def test_deep_recursion_exit_code(capsys):
-    # the reduction recurses once per unit of letter spread; nothing is nested
-    for argv in (("reduce2", "[0,5000]"), ("reduce3", "[0,0,3000]")):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert err == "error: the computation recursed too deeply\n", argv
+def test_reduction_refuses_words_past_the_spread_bound(capsys):
+    # the reduction's work grows about as the fourth power of the letter
+    # spread, so a wider word is refused before any rewrite
+    for command, word, spread, bound in (
+        ("reduce2", "[0,2001]", 2001, 2000),
+        ("reduce2", "[0,5000]", 5000, 2000),
+        ("reduce3", "[0,0,101]", 101, 100),
+        ("reduce3", "[700,0,0]", 700, 100),
+    ):
+        code, out, err = run(capsys, command, word)
+        assert (code, out) == (2, ""), word
+        assert err == (f"error: the letters of sh{word} spread over {spread}; "
+                       f"{command} accepts at most {bound}\n"), word
+    # deeper than the interpreter's recursion limit, well inside the bound
+    code, out, err = run(capsys, "reduce2", "[499,0]", "--verify")
+    assert (code, err) == (0, "") and out.endswith("\nverified: true\n")
 
 
 def test_z_index_with_a_leading_zero_is_no_name(capsys):

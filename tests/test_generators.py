@@ -1,19 +1,25 @@
 """Generator words, module actions, and reduction certificates."""
 
+import collections
 import hashlib
 import itertools
 import json
 import random
 import sys
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from intshuffle.errors import ArityTooSmall
 from intshuffle.generators import (
+    _RULES,
     BASIS2,
     BASIS3,
     GeneratorWord,
     ModuleCertificate,
+    _product_power_poly,
     act_power_sum,
     act_product_power,
     range4,
@@ -25,7 +31,7 @@ from intshuffle.generators import (
 )
 from intshuffle.cli import main
 from intshuffle.conditions import ideal_certificate
-from intshuffle.poly import LaurentPoly, z
+from intshuffle.poly import ONE, LaurentPoly, z
 from intshuffle.shuffle import shuffle_word
 
 
@@ -199,6 +205,72 @@ def test_certificate_bytes_pinned():
         for word in itertools.product(range(-1, 3), repeat=arity):
             ideal.update(ideal_certificate(word).to_json().encode())
     assert ideal.hexdigest() == "de120ba02e4e83bf6fb51906ec00caaf"
+
+
+def test_wide_certificate_bytes_pinned():
+    # a spread of 30 passes each word's share through hundreds of rewrites
+    text = reduce3([0, 0, 30]).to_json()
+    assert hashlib.md5(text.encode()).hexdigest() == "0d26eedac27e78bd0637ac4470f5a830"
+
+
+@lru_cache(maxsize=1024)
+def _reference_reduce(word):
+    """`word` as (basis word, cofactor) pairs sorted by word, by recursion
+    into every word of its rewrite: the reduction the one pass replaced."""
+    shift = min(word)
+    basis, rewrite, _ = _RULES[len(word)]
+    if shift:
+        steps = ((_product_power_poly(len(word), shift), tuple(d - shift for d in word)),)
+    elif word in basis:
+        return ((word, ONE),)
+    else:
+        steps = rewrite(word)
+    combo = {}
+    for scalar_, sub in steps:
+        for basis_word, cofactor in _reference_reduce(sub):
+            term = scalar_ * cofactor
+            prev = combo.get(basis_word)
+            combo[basis_word] = term if prev is None else prev + term
+    return tuple(sorted((w, c) for w, c in combo.items() if c))
+
+
+@given(st.one_of(st.lists(st.integers(-3, 12), min_size=2, max_size=2),
+                 st.lists(st.integers(-2, 8), min_size=3, max_size=3)))
+@example([0, 0, 1])  # every key of _BASE3
+@example([1, 0, 1])
+@example([0, 1, 1])
+@example([2, 0, 1])
+@example([2, 2, 0])
+@example([0, 2, 0])
+@example([1, 2, 0])
+@example([0, 2, 1])
+@example([0, 2, 2])
+@example([2, 0, 2])
+@example([0, 0, 2])
+@example([1, 0, 2])
+@example([0, 1, 2])
+@example([3, 1, 0])  # induction with d2 < n
+@example([0, 3, 2])  # induction with d2 >= n
+@settings(max_examples=150, deadline=None)
+def test_reduction_matches_recursive_reference(word):
+    cert = (reduce3 if len(word) == 3 else reduce2)(word)
+    expected = _reference_reduce(tuple(word))
+    assert cert.combination == tuple((c, GeneratorWord(b)) for b, c in expected)
+
+
+@pytest.mark.parametrize("word", [(0, 0, 20), (13, 0, 7), (0, 100), (-5, 40)])
+def test_each_word_is_rewritten_once(monkeypatch, word):
+    # the pop order hands a word all of its shares before its rewrite
+    basis, rewrite, bound = _RULES[len(word)]
+    rewritten = collections.Counter()
+
+    def counting(w):
+        rewritten[w] += 1
+        return rewrite(w)
+
+    monkeypatch.setitem(_RULES, len(word), (basis, counting, bound))
+    (reduce3 if len(word) == 3 else reduce2)(word)
+    assert rewritten and max(rewritten.values()) == 1
 
 
 def test_range4():
