@@ -14,7 +14,7 @@ decomposition
 which routes any cross-block kernel factor through (g1, g2).
 
 `ideal_certificate` builds explicit cofactors (A, B) with
-expand(word) = A g1 + B g2, for every arity k >= 2, in one loop over the
+expand(word) = A g1 + B g2, for every arity k >= 2, from a loop over the
 placements z_b of the last letter with everything held over the common
 denominator V = prod_{i<j}(z_i - z_j).  Placement b carries the product
 z_b^d * M_b * prod_{a not in {b, 3-b}} omega_num(z_a, z_b), where
@@ -27,10 +27,13 @@ the prefix word (which keeps z1, z2 in place).  The resulting cofactors
 have denominator V, so a repair pass walks the linear factors f of V and
 shifts (A, B) by a multiple of (g2, -g1) until both are divisible by f,
 then divides f out; solvability at each step follows from g1 and g2 being
-coprime modulo every z_i - z_j.  The loop builds the scaled pair (2A, 2B):
-the placements at z1 and z2 split 2 omega rather than omega, and the
-placements b >= 3 take the prefix's scaled pair, so every product runs on
-integer coefficients and `ideal_certificate` halves once at the end.
+coprime modulo every z_i - z_j.  The placement loop and the repair pass run
+once per prefix length j = 2..k, bottom-up: level j's placements b >= 3
+read the repaired pair of level j - 1, the only state kept, so there is no
+recursion and no cache.  The levels build the scaled pair (2A, 2B): the
+placements at z1 and z2 split 2 omega rather than omega, and the placements
+b >= 3 take the prefix's scaled pair, so every product runs on integer
+coefficients and `ideal_certificate` halves once at the end.
 `verify_ideal_certificate` is the authority on the result; it clears the
 cofactors' denominators before multiplying, so it too works on integers.
 
@@ -202,57 +205,49 @@ def verify_ideal_certificate(cert: IdealCertificate) -> bool:
             == den * cert.target_poly())
 
 
-@lru_cache(maxsize=128)
-def _cofactors(word: tuple[int, ...]) -> tuple[LaurentPoly, LaurentPoly]:
-    """The scaled pair (2A, 2B) of `ideal_certificate`; its placements split
-    2 omega rather than omega, so no half enters the products."""
-    k = len(word)
-    prefix = word[:-1]
-    gens = ideal_generators()
-    a_hat = LaurentPoly.zero()
-    b_hat = LaurentPoly.zero()
-    prefix_poly = shuffle_word(prefix).poly
-
-    for b_var in range(1, k + 1):
-        others = [i for i in range(1, k + 1) if i != b_var]
-        mapping = dict(enumerate(others, 1))
-        # V_k / prod_{a != b}(z_a - z_b) is the Vandermonde of the others, up to sign
-        m_b = (-1) ** (k - b_var) * relabel_z(_vandermonde(k - 1), mapping)
-        carried = z(b_var, word[-1]) * m_b
-        c_var = 3 - b_var  # the other special variable; out of range when b_var > 2
-        for a_var in others:
-            if a_var != c_var:
-                carried = carried * omega_numerator(a_var, b_var)
-        if b_var <= 2:
-            # 2 omega(z_c, z_b) = (z_c - z_b) g1 + z1 z2 g2 splits the placement
-            carried = carried * relabel_z(prefix_poly, mapping)
-            a_hat = a_hat + carried * (z(c_var) - z(b_var))
-            b_hat = b_hat + z(1) * z(2) * carried
-        else:
-            sub_a, sub_b = _cofactors(prefix)
-            a_hat = a_hat + relabel_z(sub_a, mapping) * carried
-            b_hat = b_hat + relabel_z(sub_b, mapping) * carried
-
-    # Repair pass: make both cofactors divisible by each linear factor of the
-    # common denominator, then divide it out.
-    for i, j in itertools.combinations(range(1, k + 1), 2):
-        f = z(i) - z(j)
-        merge = {f"z{j}": z(i)}
-        a_mod = substitute(a_hat, merge)
-        g2_mod = substitute(gens.g2, merge)
-        h = exact_div(a_mod, g2_mod)
-        a_hat = exact_div(a_hat - h * gens.g2, f)
-        b_hat = exact_div(b_hat + h * gens.g1, f)
-    return (a_hat, b_hat)
-
-
 def ideal_certificate(word: WordLike | GeneratorWord) -> IdealCertificate:
     """Cofactors (A, B) with expand(word) == A*g1 + B*g2, arity >= 2."""
     w = as_word(word)
     if w.arity < 2:
         raise ArityTooSmall("ideal membership needs arity >= 2")
-    a, b = _cofactors(w.exponents)
-    return IdealCertificate(w, _halved(a), _halved(b))
+    gens = ideal_generators()
+    a_hat = b_hat = LaurentPoly.zero()
+    for k in range(2, w.arity + 1):
+        prefix = w.exponents[:k - 1]
+        sub_a, sub_b = a_hat, b_hat  # the prefix's scaled pair; unread when k == 2
+        a_hat = b_hat = LaurentPoly.zero()
+        prefix_poly = shuffle_word(prefix).poly
+
+        for b_var in range(1, k + 1):
+            others = [i for i in range(1, k + 1) if i != b_var]
+            mapping = dict(enumerate(others, 1))
+            # V_k / prod_{a != b}(z_a - z_b) is the Vandermonde of the others, up to sign
+            m_b = (-1) ** (k - b_var) * relabel_z(_vandermonde(k - 1), mapping)
+            carried = z(b_var, w.exponents[k - 1]) * m_b
+            c_var = 3 - b_var  # the other special variable; out of range when b_var > 2
+            for a_var in others:
+                if a_var != c_var:
+                    carried = carried * omega_numerator(a_var, b_var)
+            if b_var <= 2:
+                # 2 omega(z_c, z_b) = (z_c - z_b) g1 + z1 z2 g2 splits the placement
+                carried = carried * relabel_z(prefix_poly, mapping)
+                a_hat = a_hat + carried * (z(c_var) - z(b_var))
+                b_hat = b_hat + z(1) * z(2) * carried
+            else:
+                a_hat = a_hat + relabel_z(sub_a, mapping) * carried
+                b_hat = b_hat + relabel_z(sub_b, mapping) * carried
+
+        # Repair pass: make both cofactors divisible by each linear factor of
+        # the common denominator, then divide it out.
+        for i, j in itertools.combinations(range(1, k + 1), 2):
+            f = z(i) - z(j)
+            merge = {f"z{j}": z(i)}
+            a_mod = substitute(a_hat, merge)
+            g2_mod = substitute(gens.g2, merge)
+            h = exact_div(a_mod, g2_mod)
+            a_hat = exact_div(a_hat - h * gens.g2, f)
+            b_hat = exact_div(b_hat + h * gens.g1, f)
+    return IdealCertificate(w, _halved(a_hat), _halved(b_hat))
 
 
 def _halved(p: LaurentPoly) -> LaurentPoly:

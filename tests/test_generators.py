@@ -213,6 +213,14 @@ def test_wide_certificate_bytes_pinned():
     assert hashlib.md5(text.encode()).hexdigest() == "0d26eedac27e78bd0637ac4470f5a830"
 
 
+def test_arity_four_ideal_certificate_bytes_pinned():
+    # arity 4 is the first arity whose b >= 3 placements read a repaired
+    # arity-3 pair, not only an arity-2 one
+    text = ideal_certificate([0, 0, 0, 0]).to_json()
+    assert len(text) == 586036
+    assert hashlib.md5(text.encode()).hexdigest() == "094c3f3155d94b6b1f689c30aec19f28"
+
+
 @lru_cache(maxsize=1024)
 def _reference_reduce(word):
     """`word` as (basis word, cofactor) pairs sorted by word, by recursion
