@@ -5,31 +5,30 @@ Grammar (whitespace between tokens is ignored):
     expr     := ['-'] term (('+' | '-') term)*
     term     := juxt ('*' juxt)*                # '*' is the shuffle product
     juxt     := power power*                    # adjacency multiplies by a scalar
-    power    := atom ['^' exponent]
-    atom     := rational | name | word | '(' expr ')'
-    rational := INT ['/' INT]
+    power    := (number | name | word | '(' expr ')') ['^' exponent]
+    number   := INT ['/' INT]
     word     := 'sh' '[' [sint (',' sint)*] ']'
     sint     := ['-'] INT
     name     := 'q1' | 'q2' | 'q' | 'z' | 'z' INT
     exponent := ['-'] INT | '(' ['-'] INT ')'
 
-INT is a run of ASCII digits and names are ASCII.  The INT of a name `z`
-INT runs from 1 to `poly.MAX_Z_INDEX` and has no leading zero.  A character
-that is not one of these, whitespace or one of `+-*/^()[],` is a syntax
-error at its position.
+INT is a run of ASCII digits, and a name is a run of ASCII letters and
+digits; no name contains `_`.  The INT of a name `z` INT runs from 1 to
+`poly.MAX_Z_INDEX` and has no leading zero.  A character that is not one of
+these, whitespace or one of `+-*/^()[],` is a syntax error at its position.
 
 `sh[d1,...,dk]` is the expansion of z1^{d1} * ... * z1^{dk}; `z^d` (bare `z`)
-is the one-variable element z1^d; `q1`, `q2` and indexed `z1, z2, ...` are
+is the one-letter word `sh[d]`; `q1`, `q2` and indexed `z1, z2, ...` are
 scalar variables, and `q` is input sugar for q1 q2 (never printed).  The
 shuffle operator binds tighter than + and -, juxtaposition tighter than the
 shuffle operator.
 
 The reader is a recursive-descent parser over a lazy lexer: it keeps only
 its position in the text and matches the next token where the grammar asks
-for one.  A factor written without spaces, a variable with its power
-(`q1^-4`, `z3^2`, `q`) or a number with its denominator (`3/4`), is one
-token, read by the juxtaposition loop itself; any other spelling (`q1 ^ -2`,
-`q1^(-2)`, `3 / 4`) goes through the generic `power`/`atom` rules.  One
+for one.  A number with its denominator and power, or a name with its
+power, is one token in every spelling (`3/4`, `3 / 4`, `q1^-4`, `q1 ^ (-4)`,
+`z^2`), read by the juxtaposition loop itself, which memoizes the scalar
+ones.  Only a word and `( ... )` take the `power` rule apart from it.  One
 search for a character that starts no token runs before parsing, so a bad
 character anywhere wins over every other error.
 
@@ -62,7 +61,7 @@ from typing import Union
 from ._terms_py import add_into, mono_mul, normal, ratio
 from .errors import ArityMismatch, ExprSyntaxError, NotSymmetric
 from .poly import LaurentPoly, _slot, signed_sum
-from .shuffle import ShuffleElement, element_sum, one_variable, scalar, shuffle, shuffle_word
+from .shuffle import ShuffleElement, element_sum, scalar, shuffle, shuffle_word
 
 Value = Union[LaurentPoly, ShuffleElement]
 
@@ -81,11 +80,6 @@ class Poly(Node):
     their powers, or the sum of a sum's monomial summands."""
 
     value: LaurentPoly
-
-
-@dataclass(frozen=True)
-class ZElt(Node):
-    exponent: int
 
 
 @dataclass(frozen=True)
@@ -133,38 +127,43 @@ class Pow(Node):
 # Arabic-Indic digits, which int() then rejects or reads as ASCII ones.
 _SPACE = re.compile(r"\s*")
 _INT = re.compile(r"([0-9]+)\s*")
-_NAME = re.compile(r"([A-Za-z][A-Za-z0-9_]*)\s*")
 
-# A whole factor: group 1 is its text, groups 2-3 a variable and its power,
-# groups 4-5 a number and its denominator.  The lookahead declines a factor
-# that more name characters, a '^' or a '/' would extend, so that `z1abc`,
-# `q1^(-2)`, `q1^2^3`, `3 / 4` and `6/2/3` take the generic path.
+# '^' and an exponent, bare or in parentheses.  The digits and the ')' match
+# empty where they are missing, so the match holds the position at which one
+# was expected.
+_EXPONENT = r"\^\s*(?P<open>\(\s*)?(?P<sign>-?)\s*(?P<digits>[0-9]*)(?(open)\s*(?P<close>\)?))"
+_POWER = re.compile(_EXPONENT + r"\s*")
+
+# A whole factor, group 1 its text: a number and its denominator, or a name
+# other than `sh`, each with its power.  A name is the whole run of letters
+# and digits, so that `z1abc` is one unknown name.
 _FACTOR = re.compile(
-    r"((q[12]?|z[1-9][0-9]*)(?:\^(-?[0-9]+))?|([0-9]+)(?:/([0-9]+))?)"
-    r"(?![A-Za-z0-9_]|\s*[/^])\s*"
+    r"((?:(?P<num>[0-9]+)(?:\s*/\s*(?P<den>[0-9]*))?|(?!sh\b)(?P<name>[A-Za-z][A-Za-z0-9]*))"
+    r"(?:\s*" + _EXPONENT + r")?)\s*"
 )
 
-# Characters that start no token.  A '_' starts none unless it continues a
-# name, that is, unless the run of letters, digits and '_' it sits in has a
-# letter before it.  The two searches run apart: the first scans at C speed.
-_BAD_CHAR = re.compile(r"[^-+*/^()\[\],\sA-Za-z0-9_]")
-_BAD_UNDERSCORE = re.compile(r"(?<![A-Za-z0-9_])[0-9]*_")
+# characters that start no token; no name contains '_'
+_BAD_CHAR = re.compile(r"[^-+*/^()\[\],\sA-Za-z0-9]")
 
 # the end of the text, a character no token contains
 _END = "\0"
-# what can start a factor after the first: INT, NAME or '('
+# what can start a factor after the first: a number, a name or '('
 _JUXT_START = frozenset("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ(")
 
 
 def _check_characters(text: str) -> None:
     bad = _BAD_CHAR.search(text)
-    pos = bad.start() if bad else len(text)
-    if "_" in text:
-        under = _BAD_UNDERSCORE.search(text, 0, pos)
-        if under:
-            pos = under.end() - 1
-    if pos < len(text):
-        raise ExprSyntaxError(pos, f"unexpected character {text[pos]!r}")
+    if bad:
+        raise ExprSyntaxError(bad.start(), f"unexpected character {bad[0]!r}")
+
+
+def _exponent(m: re.Match) -> int:
+    """The exponent of a power matched by `_POWER` or `_FACTOR`."""
+    if not m["digits"]:
+        raise ExprSyntaxError(m.start("digits"), "expected an integer")
+    if m["open"] and not m["close"]:
+        raise ExprSyntaxError(m.start("close"), "expected ')'")
+    return int(m["sign"] + m["digits"])
 
 
 def _variable(name: str, pos: int) -> tuple[tuple, int]:
@@ -177,19 +176,6 @@ def _variable(name: str, pos: int) -> tuple[tuple, int]:
         raise ExprSyntaxError(pos, f"unknown name {name!r}") from None
     # slots 0 and 1 hold q1 and q2, slot i + 1 holds z_i
     return (0,) * slot + (1,), max(slot - 1, 0)
-
-
-def _rational(num: int, den: int, den_pos: int | None):
-    """The number num/den, its denominator (if any) written at `den_pos`."""
-    if not den:
-        raise ExprSyntaxError(den_pos, "zero denominator")
-    return ratio(num, den)
-
-
-def _mono_power(exps: tuple, c, e: int) -> tuple:
-    """(exps, coeff) of (c * prod var^exps)^e, for c nonzero or e >= 0."""
-    power = tuple(x * e for x in exps) if e else ()
-    return power, (c**e if e > 0 else ratio(1, c**-e))
 
 
 # -- parser --------------------------------------------------------------------
@@ -209,6 +195,16 @@ _Typed = tuple[Union[Node, tuple], str, int]
 def _monomial(mono: tuple) -> Poly:
     pos, exps, coeff = mono
     return Poly(pos, LaurentPoly({exps: coeff}))
+
+
+def _power(pos: int, mono: tuple, e: int) -> Union[Node, tuple]:
+    """mono^e, positioned at `pos`: a monomial, or for the zero base and
+    e < 0 a `Pow` node, whose evaluation reports the negative power."""
+    _, exps, c = mono
+    if c or e >= 0:
+        power = tuple(x * e for x in exps) if e else ()
+        return pos, power, (c**e if e > 0 else ratio(1, c**-e))
+    return Pow(pos, _monomial(mono), e)
 
 
 class _Parser:
@@ -318,8 +314,12 @@ class _Parser:
             m = _FACTOR.match(text, start)
             if m is not None:
                 self.pos = m.end()
-                off, exps, c, fn = self.factors.get(m[1]) or self.read_factor(m)
-                factor, fkind = (start + off, exps, c), SCALAR
+                entry = self.factors.get(m[1])
+                if entry is None:
+                    factor, fkind, fn = self.read_factor(m)
+                else:
+                    off, exps, c, fn = entry
+                    factor, fkind = (start + off, exps, c), SCALAR
             else:
                 factor, fkind, fn = self.parse_power()
             if kind != ELEMENT and type(factor) is tuple:
@@ -357,85 +357,63 @@ class _Parser:
         # positioned at the last factor, the one multiplied in last
         return Juxt(last, tuple(factors)), kind, n
 
-    def read_factor(self, m: re.Match) -> tuple:
-        """The `factors` entry of a factor matched by _FACTOR: a power sits at
-        its '^', like one parsed by `parse_power`."""
-        name, e, num, den = m.group(2, 3, 4, 5)
-        if name is None:
-            entry = (0, (), _rational(int(num), 1 if den is None else int(den), m.start(5)), 0)
+    def read_factor(self, m: re.Match) -> _Typed:
+        """A factor matched by _FACTOR, a power positioned at its '^'.  A
+        monomial is kept in `factors`, its position relative to the factor's."""
+        start, off = m.start(), m[1].find("^")
+        num, den, name = m.group("num", "den", "name")
+        if name == "z":  # bare `z^d`: the one-letter word sh[d]
+            return WordLit(start, (1 if off < 0 else _exponent(m),)), ELEMENT, 1
+        if name is not None:
+            (exps, n), c = _variable(name, start), 1
         else:
-            exps, n = _variable(name, m.start())
-            entry = (0, exps, 1, n) if e is None else (len(name), *_mono_power(exps, 1, int(e)), n)
-        self.factors[m[1]] = entry
-        return entry
+            exps, n, c = (), 0, int(num)
+            if den is not None:
+                if not den:
+                    raise ExprSyntaxError(m.start("den"), "expected an integer denominator")
+                if not int(den):
+                    raise ExprSyntaxError(m.start("den"), "zero denominator")
+                c = ratio(c, int(den))
+        factor = (start, exps, c) if off < 0 else _power(start + off, (start, exps, c), _exponent(m))
+        if type(factor) is tuple:
+            self.factors[m[1]] = (factor[0] - start, factor[1], factor[2], n)
+        return factor, SCALAR, n
 
-    # power := atom ['^' exponent]
+    # power := (word | '(' expr ')') ['^' exponent]
     def parse_power(self) -> _Typed:
-        node, kind, n = self.parse_atom()
-        if not self.at_sym("^"):
+        """A factor that `_FACTOR` declines, with its power: the power of an
+        element is a type error."""
+        text, pos = self.text, self.pos
+        if text[pos] == "(":
+            self.advance()
+            node, kind, n = self.parse_expr()
+            self.expect_sym(")")
+        elif text[pos] == "s":  # `sh`, the one name that `_FACTOR` declines
+            self.pos = _SPACE.match(text, pos + 2).end()
+            node, kind, n = self.parse_word(pos)
+        else:
+            raise ExprSyntaxError(pos, "expected a value")
+        m = _POWER.match(text, self.pos)
+        if m is None:
             return node, kind, n
-        pos = self.advance()
-        e = self.parse_exponent()
-        if isinstance(node, ZElt):
-            return ZElt(node.pos, e), kind, n
+        self.pos = m.end()
+        pos, e = m.start(), _exponent(m)
         if type(node) is tuple:
-            _, exps, c = node
-            if c or e >= 0:
-                return (pos, *_mono_power(exps, c, e)), kind, n
-            node = _monomial(node)  # the zero base: evaluation reports the negative power
+            return _power(pos, node, e), kind, n
         if kind == ELEMENT:
             self.type_error(pos, "cannot exponentiate a shuffle element")
         return Pow(pos, node, e), kind, n
-
-    def parse_exponent(self) -> int:
-        if self.at_sym("("):
-            self.advance()
-            value = self.parse_signed_int()
-            self.expect_sym(")")
-            return value
-        return self.parse_signed_int()
-
-    def parse_int(self, what: str) -> int:
-        m = _INT.match(self.text, self.pos)
-        if m is None:
-            raise ExprSyntaxError(self.pos, f"expected {what}")
-        self.pos = m.end()
-        return int(m[1])
 
     def parse_signed_int(self) -> int:
         sign = 1
         if self.at_sym("-"):
             self.advance()
             sign = -1
-        return sign * self.parse_int("an integer")
-
-    def parse_atom(self) -> _Typed:
-        pos = self.pos
-        m = _INT.match(self.text, pos)
-        if m is not None:
-            self.pos = m.end()
-            den, den_pos = 1, None
-            if self.at_sym("/"):
-                self.advance()
-                den_pos = self.pos
-                den = self.parse_int("an integer denominator")
-            return (pos, (), _rational(int(m[1]), den, den_pos)), SCALAR, 0
-        m = _NAME.match(self.text, pos)
-        if m is not None:
-            self.pos = m.end()
-            name = m[1]
-            if name == "sh":
-                return self.parse_word(pos)
-            if name == "z":
-                return ZElt(pos, 1), ELEMENT, 1
-            exps, n = _variable(name, pos)
-            return (pos, exps, 1), SCALAR, n
-        if self.at_sym("("):
-            self.advance()
-            node, kind, n = self.parse_expr()
-            self.expect_sym(")")
-            return node, kind, n
-        raise ExprSyntaxError(pos, "expected a value")
+        m = _INT.match(self.text, self.pos)
+        if m is None:
+            raise ExprSyntaxError(self.pos, "expected an integer")
+        self.pos = m.end()
+        return sign * int(m[1])
 
     def parse_word(self, pos: int) -> _Typed:
         self.expect_sym("[")
@@ -455,7 +433,7 @@ def parse(text: str) -> Node:
     node, _, _ = parser.parse_expr()
     pos = parser.pos
     if pos != parser.end:
-        # the juxtaposition loop reads every INT and NAME: what is left is a symbol
+        # the juxtaposition loop reads every number and name: what is left is a symbol
         raise ExprSyntaxError(pos, f"unexpected {parser.text[pos]!r}")
     if parser.error is not None:
         raise parser.error
@@ -469,8 +447,6 @@ def evaluate(node: Node) -> Value:
     """Evaluate a type-checked tree to a LaurentPoly or ShuffleElement."""
     if isinstance(node, Poly):
         return node.value
-    if isinstance(node, ZElt):
-        return one_variable(node.exponent)
     if isinstance(node, WordLit):
         return shuffle_word(node.exponents)
     if isinstance(node, Sum):

@@ -30,6 +30,8 @@ def test_empty_word_literal():
 def test_one_variable_monomials():
     assert eval_text("z^3").poly == z(1) ** 3
     assert eval_text("z^-2").poly == z(1) ** -2
+    assert eval_text("z ^ (-2)").poly == z(1) ** -2
+    assert eval_text("z^ -2").poly == z(1) ** -2
     assert eval_text("z").poly == z(1)
     assert eval_text("z^0").poly == LaurentPoly.constant(1)
 
@@ -133,7 +135,7 @@ _OUTCOMES = [
     ("0^-1 q1", ArityMismatch, 1, "negative powers need an invertible monomial base"),
     # each factor after an element scales it on its own
     ("sh[0,0] z1 z2", ArityMismatch, 8, "scalar factor must be symmetric in z1..z2"),
-    # where a whole-factor token ends, declines or fails
+    # where a whole-factor token ends or fails
     ("z1^", ExprSyntaxError, 3, "expected an integer"),
     ("z1^x", ExprSyntaxError, 3, "expected an integer"),
     ("q1^-", ExprSyntaxError, 4, "expected an integer"),
@@ -151,6 +153,14 @@ _OUTCOMES = [
     ("_q1", ExprSyntaxError, 0, "unexpected character '_'"),
     ("sh[0 0] $", ExprSyntaxError, 8, "unexpected character '$'"),
     ("(q1 $", ExprSyntaxError, 4, "unexpected character '$'"),
+    ("q1_x", ExprSyntaxError, 2, "unexpected character '_'"),
+    # only bare `z` takes a power: any other element's power is a type error
+    ("(z^3)^2", ArityMismatch, 5, "cannot exponentiate a shuffle element"),
+    ("(z)^2", ArityMismatch, 3, "cannot exponentiate a shuffle element"),
+    # a missing denominator, exponent or ')' is reported where it was expected
+    ("3 /", ExprSyntaxError, 3, "expected an integer denominator"),
+    ("q1^()", ExprSyntaxError, 4, "expected an integer"),
+    ("q1 ^ (2", ExprSyntaxError, 7, "expected ')'"),
 ]
 
 
@@ -250,7 +260,7 @@ def test_juxtaposed_product_matches_per_factor_product(factors):
 @st.composite
 def _spelled_factor(draw):
     """A `_factor` with spaces drawn around its '^' and '/' and, at times, its
-    exponent in parentheses: spellings that a whole-factor token declines."""
+    exponent in parentheses: spellings that the whole-factor token reads too."""
     text, value = draw(_factor())
     if "^" in text:
         base, e = text.split("^")

@@ -1,0 +1,76 @@
+"""Words checked against the independent oracle, where the reference cannot reach.
+
+`perfbench/oracle.py` imports nothing from `intshuffle`: it evaluates a word
+from its defining symmetrized formula, and a printed polynomial through its
+own term reader, at random points modulo a prime.  The reference
+`shuffle_full_sym` is too slow for Tier-1 beyond arity 4; these checks reach
+arity 6.
+"""
+
+import importlib.util
+import random
+from pathlib import Path
+
+from intshuffle.cli import main
+from intshuffle.shuffle import shuffle_word
+
+_spec = importlib.util.spec_from_file_location(
+    "oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
+P = oracle.P
+
+
+def _det(rows: list) -> int:
+    """Determinant mod P, by elimination."""
+    rows = [list(r) for r in rows]
+    det = 1
+    for i in range(len(rows)):
+        pivot = next((r for r in range(i, len(rows)) if rows[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            rows[i], rows[pivot] = rows[pivot], rows[i]
+            det = -det
+        det = det * rows[i][i] % P
+        inv = oracle.inv(rows[i][i])
+        for r in range(i + 1, len(rows)):
+            f = rows[r][i] * inv % P
+            if f:
+                rows[r] = [(x - f * y) % P for x, y in zip(rows[r], rows[i])]
+    return det % P
+
+
+def _alternant_value(coeffs: dict, k: int, point: dict) -> int:
+    """sum_alpha c_alpha(q1, q2) det(z_i^alpha_j) / V at `point`, V = prod_{i<j}(z_i - z_j)."""
+    zs = oracle.z_values(point, k)
+    total = 0
+    for alpha, row in coeffs.items():
+        c = 0
+        for qpart, coeff in row.items():
+            a, b = (tuple(qpart) + (0, 0))[:2]
+            term = pow(point["q1"], a, P) * pow(point["q2"], b, P) % P
+            c += term * (coeff.numerator * oracle.inv(coeff.denominator % P)) % P
+        total += c % P * _det([[pow(z, e, P) for e in alpha] for z in zs])
+    vandermonde = 1
+    for i in range(k):
+        for j in range(i + 1, k):
+            vandermonde = vandermonde * (zs[i] - zs[j]) % P
+    return total % P * oracle.inv(vandermonde) % P
+
+
+def test_words_match_the_defining_formula():
+    rng = random.Random(2020)
+    words = [tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(5)]
+    for word in words + [(0,) * 6]:
+        point = oracle.random_point(rng, len(word))
+        got = _alternant_value(shuffle_word(word).coeffs, len(word), point)
+        assert got == oracle.word_value(word, point), word
+
+
+def test_expand_text_of_arity_five_matches_the_defining_formula(capsys):
+    # the printed text is otherwise pinned only by an MD5 of the program's own output
+    assert main(["expand", "sh[0,0,0,0,0]"]) == 0
+    text = capsys.readouterr().out
+    point = oracle.random_point(random.Random(5), 5)
+    assert oracle.evaluate(text, point) == oracle.word_value((0,) * 5, point)
