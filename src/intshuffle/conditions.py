@@ -38,8 +38,11 @@ coefficients and `ideal_certificate` halves once at the end.
 cofactors' denominators before multiplying, so it too works on integers.
 
 Wheel conditions: an element of arity >= 3 must vanish whenever
-{z1/z2, z2/z3, z3/z1} = {q1, q2, 1/q}; both the direct substitution form
-and the two-ideal reduction form are provided and agree.
+{z1/z2, z2/z3, z3/z1} = {q1, q2, 1/q}.  `wheel_check` decides this from
+the stored alternant coefficients alone, by a Laplace expansion of each
+alternant along its first three rows (the argument is in its docstring),
+and builds no monomial.  `ideal_wheel_check`, the two-ideal reduction form,
+substitutes into the monomials: the independent check that both agree.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._terms_py import cleared, ratio
+from ._terms_py import add_into, cleared, mul_terms, ratio, trimmed
 from .errors import ArityTooSmall, IdentityViolated, NotDivisible
 from .expr import as_element
 from .generators import (
@@ -94,35 +97,79 @@ def ideal_generators() -> IdealGenerators:
 # -- wheel conditions ---------------------------------------------------------
 
 
-def _vanishes_under(element: ShuffleElement, *assignments: dict) -> bool:
-    """Whether the element's image under every assignment is zero."""
-    return all(not substitute(element.poly, assignment) for assignment in assignments)
-
-
 def wheel_check(element: ShuffleElement) -> bool:
     """Vanishing under both ratio assignments; vacuous below arity 3.
 
-    By symmetry it is enough to pin the first three variables: substitute
-    (z1, z2, z3) = (q1 q2 t, q2 t, t) and (q1 q2 t, q1 t, t), with z3 kept
-    as the free parameter t, and demand both images vanish identically.
+    By symmetry it is enough to pin the first three variables: f must vanish
+    at (z1, z2, z3) = (q t, q2 t, t) and at (q t, q1 t, t), q = q1 q2, for a
+    free t.  The verdict is read off the stored coefficients of
+    f V = N = sum_alpha c_alpha a_alpha; no monomial is built.
+
+    * At (q t, q2 t, t) every factor z_i - z_j of V stays nonzero, so V is a
+      nonzero Laurent polynomial there.  The ring is a domain, so f vanishes
+      exactly when N does.
+    * Laplace along rows 1-3 (Macdonald, I.3) gives
+      N(q t, q2 t, t, z4..zn) = sum_{alpha, S} eps_S c_alpha det3(alpha_S)
+      a_{alpha - S}(z4..zn).  S runs over the 3-column subsets, alpha_S =
+      (a, b, c) holds alpha's entries at S and alpha - S the rest, and
+      eps_S = (-1)^(s1+s2+s3) for 1-based columns.  det3 is
+      t^(a+b+c) sum_sigma sign(sigma) q1^e1 q2^(e1+e2), summed over the six
+      arrangements (e1, e2, e3) of (a, b, c).
+    * The a_beta over distinct strictly decreasing beta are linearly
+      independent, and t^(a+b+c) separates degrees.  So N vanishes exactly
+      when every q-row keyed by (beta, a+b+c) sums to zero.
+
+    The rows are summed exactly with the term kernel, in two passes, and
+    only tested for zero.  The first pass expands along rows 1-2: with
+    (a, b) alpha's entries at columns j < k and s = a + b, the minor is
+    t^s q2^s (q1^a - q1^b).  So the row shifted by q1^a is made once per
+    entry of alpha, and the minors of equal (alpha - {j, k}, s) are summed
+    before one shift by q2^s.  The second pass expands what is left along
+    row 3, where z3 = t brings only a sign and a power of t.  The second
+    assignment swaps q1 and q2.
     """
-    if element.arity < 3:
+    n = element.arity
+    if n < 3:
         return True
-    return _vanishes_under(element, {"z1": Q * z(3), "z2": Q2 * z(3)},
-                           {"z1": Q * z(3), "z2": Q1 * z(3)})
+    pairs = [((-1) ** (j + k + 1), j, k, [i for i in range(n) if i not in (j, k)])
+             for j, k in itertools.combinations(range(n), 2)]
+    for swap in (False, True):
+        def q(lone: int, pair: int) -> tuple:
+            """q1^lone q2^pair, or q2^lone q1^pair under the second assignment."""
+            return trimmed((pair, lone) if swap else (lone, pair))
+
+        minors: dict = {}
+        for alpha, row in element.coeffs.items():
+            shifted = [mul_terms(row, {q(e, 0): 1}) for e in alpha]
+            for sign, j, k, rest in pairs:
+                key = (tuple(alpha[i] for i in rest), alpha[j] + alpha[k])
+                minor = minors.setdefault(key, {})
+                add_into(minor, shifted[j], sign)
+                add_into(minor, shifted[k], -sign)
+        rows: dict = {}
+        for (gamma, s), minor in minors.items():
+            minor = mul_terms(minor, {q(0, s): 1})
+            for m, e in enumerate(gamma):
+                key = (gamma[:m] + gamma[m + 1:], s + e)
+                add_into(rows.setdefault(key, {}), minor, (-1) ** m)
+        if any(rows.values()):
+            return False
+    return True
 
 
 def ideal_wheel_check(element: ShuffleElement) -> bool:
     """Membership in both wheel ideals, by reduction along the generators.
 
     Reduces modulo (q1 z1 - z2, q2 z2 - z3) via z2 := q1 z1, z3 := q2 z2 and
-    modulo (q2 z1 - z2, q1 z2 - z3) via z2 := q2 z1, z3 := q1 z2; agrees with
-    `wheel_check` on every input.
+    modulo (q2 z1 - z2, q1 z2 - z3) via z2 := q2 z1, z3 := q1 z2.  It
+    substitutes into the monomials, independently of `wheel_check`, and
+    agrees with it on every input.
     """
     if element.arity < 3:
         raise ArityTooSmall("the wheel ideals live in arity >= 3")
-    return _vanishes_under(element, {"z2": Q1 * z(1), "z3": Q * z(1)},
-                           {"z2": Q2 * z(1), "z3": Q * z(1)})
+    return all(not substitute(element.poly, assignment)
+               for assignment in ({"z2": Q1 * z(1), "z3": Q * z(1)},
+                                  {"z2": Q2 * z(1), "z3": Q * z(1)}))
 
 
 # -- kernel decomposition -------------------------------------------------------

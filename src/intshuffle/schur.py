@@ -170,13 +170,14 @@ def _scan(rows: list) -> tuple:
     `cleared` by den, the sum of the absolute values of the rows'
     coefficients after that, and the ranges of their q1 and q2 exponents.
     norm is 0 when there are no coefficients."""
-    norm = sum(map(abs, itertools.chain.from_iterable(map(dict.values, rows))))
+    den = 1
+    try:
+        norm = sum(map(int.__abs__, itertools.chain.from_iterable(map(dict.values, rows))))
+    except TypeError:  # int.__abs__ stops at the first Fraction, so none is summed
+        den, rows = cleared(rows)
+        norm = sum(map(int.__abs__, itertools.chain.from_iterable(map(dict.values, rows))))
     if not norm:
         return rows, 1, 0, 0, 0, 0, 0
-    den = 1
-    if type(norm) is not int:  # a Fraction somewhere; the sum is the cheap test for ints
-        den, rows = cleared(rows)
-        norm = int(norm * den)
     keys = set().union(*rows)
     e1 = {q[0] if q else 0 for q in keys}
     e2 = {q[1] if len(q) > 1 else 0 for q in keys}

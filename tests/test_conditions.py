@@ -48,6 +48,56 @@ def test_wheel_check_rejects_constants():
     assert not wheel_check(ShuffleElement(3, LaurentPoly.constant(1)))
 
 
+_WHEEL_POINTS = ({"z1": Q * z(3), "z2": Q2 * z(3)}, {"z1": Q * z(3), "z2": Q1 * z(3)})
+
+
+def _wheel_by_substitution(p: LaurentPoly) -> bool:
+    """The reference verdict: both assignments substituted into the monomials."""
+    return all(not substitute(p, point) for point in _WHEEL_POINTS)
+
+
+def test_wheel_check_needs_both_assignments():
+    # g vanishes under (q t, q2 t, t) only, its q1 <-> q2 swap under (q t, q1 t, t) only
+    g = LaurentPoly.constant(1)
+    for a, b, c in itertools.permutations((1, 2, 3)):
+        g = g * (z(a) - Q1 * z(b) + z(b) - Q2 * z(c))
+    swapped = substitute(g, {"q1": Q2, "q2": Q1})
+    for p, vanishes in ((g, [True, False]), (swapped, [False, True])):
+        assert [not substitute(p, point) for point in _WHEEL_POINTS] == vanishes
+        assert not wheel_check(ShuffleElement(3, p))
+
+
+def test_wheel_check_matches_substitution():
+    # kinds: 0 a word and 2 e1 times a word minus one of its lemma-(b)
+    # summands (members); 1 a word plus e1 and 3 a symmetrized monomial
+    # (non-members).  Arity 5 leaves out kind 2, whose monomials cost 2 s.
+    rng = random.Random(23)
+    cases = [(3, kind) for kind in range(4) for _ in range(4)]
+    cases += [(4, kind) for kind in range(4) for _ in range(2)]
+    cases += [(5, 0), (5, 1), (5, 3)]
+    verdicts: dict = {}
+    for k, kind in cases:
+        word = [rng.randint(-1, 2) for _ in range(k)] if k < 5 else [0] * k
+        e1 = sum((z(i) for i in range(1, k + 1)), LaurentPoly.zero())
+        element = shuffle_word(word)
+        if kind == 1:
+            element = element + ShuffleElement(k, e1)
+        elif kind == 2:
+            element = element.scaled(e1) - shuffle_word([word[0] + 1] + word[1:])
+        elif kind == 3:
+            element = _random_symmetric(rng, k)
+        verdict = wheel_check(element)
+        assert verdict == _wheel_by_substitution(element.poly), (k, kind, word)
+        verdicts.setdefault(k, set()).add(verdict)
+    assert all(seen == {True, False} for seen in verdicts.values())
+
+
+def test_wheel_check_builds_no_monomials():
+    element = shuffle_word([1, 0, 2, 1])
+    assert wheel_check(element)
+    assert element._poly is None
+
+
 def test_ideal_wheel_check_examples():
     assert ideal_wheel_check(shuffle_word([1, 0, 0]))
     assert not ideal_wheel_check(ShuffleElement(3, LaurentPoly.constant(2)))

@@ -12,7 +12,9 @@ import random
 from pathlib import Path
 
 from intshuffle.cli import main
-from intshuffle.shuffle import shuffle_word
+from intshuffle.conditions import wheel_check
+from intshuffle.poly import LaurentPoly, z
+from intshuffle.shuffle import ShuffleElement, shuffle_word
 
 _spec = importlib.util.spec_from_file_location(
     "oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
@@ -74,3 +76,28 @@ def test_expand_text_of_arity_five_matches_the_defining_formula(capsys):
     text = capsys.readouterr().out
     point = oracle.random_point(random.Random(5), 5)
     assert oracle.evaluate(text, point) == oracle.word_value((0,) * 5, point)
+
+
+def _wheel_points(rng: random.Random, arity: int) -> list:
+    """(z1, z2, z3) = (q t, q2 t, t) and (q t, q1 t, t), q = q1 q2, with t
+    and the other z's random."""
+    points = []
+    for second in ("q2", "q1"):
+        point = oracle.random_point(rng, arity)
+        t = point["z3"]
+        point["z1"] = point["q1"] * point["q2"] % P * t % P
+        point["z2"] = point[second] * t % P
+        points.append(point)
+    return points
+
+
+def test_wheel_verdicts_of_arity_five_match_the_defining_formula():
+    rng = random.Random(23)
+    for word in ((1, 0, 0, 0, 0), (0, 2, -1, 0, 1)):
+        assert wheel_check(shuffle_word(word)), word
+        assert all(oracle.word_value(word, p) == 0 for p in _wheel_points(rng, 5)), word
+    # sh[0,0,0,0,0] + e1 fails, and the formula is nonzero at a wheel point
+    e1 = sum((z(i) for i in range(1, 6)), LaurentPoly.zero())
+    assert not wheel_check(shuffle_word((0,) * 5) + ShuffleElement(5, e1))
+    assert any((oracle.word_value((0,) * 5, p) + sum(oracle.z_values(p, 5))) % P
+               for p in _wheel_points(rng, 5))
