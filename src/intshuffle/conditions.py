@@ -43,6 +43,13 @@ the stored alternant coefficients alone, by a Laplace expansion of each
 alternant along its first three rows (the argument is in its docstring),
 and builds no monomial.  `ideal_wheel_check`, the two-ideal reduction form,
 substitutes into the monomials: the independent check that both agree.
+
+Corollary divisibility: the z2 := -z1 image of an element of arity >= 2
+must be divisible by D = (1 + q1)(1 + q2)(1 + q).  `corollary_check` reads
+the image off f on the monomial symmetric basis, one q-row per power of z1
+and monomial symmetric function of z3..zk, divides each row by D, and
+expands the cofactor from the quotient rows (the argument is in its
+docstring).  It builds no monomial of f and substitutes nothing.
 """
 
 from __future__ import annotations
@@ -74,6 +81,7 @@ from .poly import (
     substitute,
     z,
 )
+from .schur import _orbit, monomial_coefficients
 from .shuffle import ShuffleElement, _vandermonde, omega_numerator, shuffle_word
 
 
@@ -306,15 +314,54 @@ def _halved(p: LaurentPoly) -> LaurentPoly:
 
 
 def corollary_check(element: ShuffleElement) -> tuple[bool, LaurentPoly | None]:
-    """Divisibility of the z2 := -z1 image by (1 + q1)(1 + q2)(1 + q).
+    """Divisibility of the z2 := -z1 image by D = (1 + q1)(1 + q2)(1 + q).
 
-    Returns (True, cofactor) on success and (False, None) otherwise.
+    Returns (True, cofactor) on success and (False, None) otherwise.  The
+    image is read off f on the monomial symmetric basis, f = sum_mu r_mu m_mu
+    (`schur.monomial_coefficients`); no monomial of f is built and nothing
+    is substituted.
+
+    * A rearrangement of the content mu that puts the values x, y at z1, z2
+      puts a rearrangement of mu - {x, y} at z3..zk.  So m_mu(z1, -z1,
+      z3..zk) = sum (-1)^y z1^(x+y) m_{mu - {x, y}}(z3..zk) over the ordered
+      value pairs (x, y) drawn from mu.
+    * For values a < b the orders (a, b) and (b, a) add up to
+      ((-1)^a + (-1)^b) z1^(a+b): 2 (-1)^a when a and b have the same
+      parity, 0 when they do not.  A value a that occurs at least twice in
+      mu is drawn as (a, a) once, with weight (-1)^a.
+    * The terms z1^s m_nu(z3..zk) of distinct (s, nu) share no monomial, so
+      the image is sum R_(s,nu) z1^s m_nu with one q-row R per (s, nu).  D
+      is free of z, so it divides the image exactly when it divides every R.
+    * The cofactor sum (R / D) z1^s m_nu is expanded over the orbits of nu,
+      as `from_alternant` does: its work grows with the output, not with f.
     """
-    if element.arity < 2:
+    k = element.arity
+    if k < 2:
         raise ArityTooSmall("the divisibility condition needs arity >= 2")
-    image = substitute(element.poly, {"z2": -z(1)})
+    rows: dict = {}
+    for mu, row in monomial_coefficients(element.coeffs, k).items():
+        for a, b in itertools.combinations_with_replacement(sorted(set(mu)), 2):
+            if (b - a) & 1 or (a == b and mu.count(a) < 2):
+                continue
+            rest = list(mu)
+            rest.remove(a)
+            rest.remove(b)
+            target = rows.setdefault((a + b, tuple(rest)), {})
+            sign = -1 if a & 1 else 1
+            add_into(target, row, sign)
+            if a != b:  # the weight is 2 (-1)^a
+                add_into(target, row, sign)
     divisor = (1 + Q1) * (1 + Q2) * (1 + Q)
     try:
-        return (True, exact_div(image, divisor))
+        quotients = [(s, nu, exact_div(LaurentPoly._raw(row), divisor).terms)
+                     for (s, nu), row in rows.items() if row]
     except NotDivisible:
         return (False, None)
+    out: dict = {}
+    for s, nu, quotient in quotients:
+        orbit = _orbit(nu)
+        for qpart, c in quotient.items():
+            head = (qpart + (0, 0))[:2] + (s, 0)
+            for zpart in orbit:
+                out[trimmed(head + zpart)] = c
+    return (True, LaurentPoly._raw(out))

@@ -16,7 +16,7 @@ from intshuffle.conditions import (
     verify_ideal_certificate,
     wheel_check,
 )
-from intshuffle.errors import ArityTooSmall
+from intshuffle.errors import ArityTooSmall, NotDivisible
 from intshuffle.expr import parse_poly
 from intshuffle.generators import GeneratorWord
 from intshuffle.poly import Q1, Q2, LaurentPoly, exact_div, render, substitute, z
@@ -228,6 +228,57 @@ def test_ideal_certificate_polynomial_target():
         ShuffleElement(2, gens.g2), LaurentPoly.constant(1), LaurentPoly.zero()
     )
     assert not verify_ideal_certificate(wrong)
+
+
+_COROLLARY_DIVISOR = (1 + Q1) * (1 + Q2) * (1 + Q)
+
+
+def _corollary_by_substitution(p: LaurentPoly):
+    """The reference: the z2 := -z1 image of the monomials, divided by D exactly."""
+    try:
+        return (True, exact_div(substitute(p, {"z2": -z(1)}), _COROLLARY_DIVISOR))
+    except NotDivisible:
+        return (False, None)
+
+
+def test_corollary_matches_substitution():
+    # kinds: 0 a word and 1 a third of a word (members); 2 a word plus e1,
+    # 3 half a word plus a third of e1 and 4 a symmetrized monomial
+    # (usually non-members).  Arity 5 runs sh[0,0,0,0,0] as kinds 0, 3 and
+    # 4 only: a wider word's monomials take 5-6 s to substitute.
+    rng = random.Random(24)
+    gens = ideal_generators()
+    third = Fraction(1, 3)
+    elements = [ShuffleElement(2, gens.g1), ShuffleElement(2, gens.g2),
+                ShuffleElement(2, third * gens.g1), ShuffleElement(3, LaurentPoly.zero())]
+    cases = [(k, kind) for k in (2, 3) for kind in range(5) for _ in range(3)]
+    cases += [(4, kind) for kind in range(5)]
+    cases += [(5, 0), (5, 3), (5, 4)]
+    for k, kind in cases:
+        word = [rng.randint(-2, 2) for _ in range(k)] if k < 5 else [0] * k
+        e1 = sum((z(i) for i in range(1, k + 1)), LaurentPoly.zero())
+        element = shuffle_word(word)
+        if kind == 1:
+            element = element.scaled(third)
+        elif kind == 2:
+            element = element + ShuffleElement(k, e1)
+        elif kind == 3:
+            element = element.scaled(Fraction(1, 2)) + ShuffleElement(k, third * e1)
+        elif kind == 4:
+            element = _random_symmetric(rng, k)
+        elements.append(element)
+    verdicts: dict = {}
+    for element in elements:
+        got = corollary_check(element)
+        assert got == _corollary_by_substitution(element.poly), element
+        verdicts.setdefault(element.arity, set()).add(got[0])
+    assert all(seen == {True, False} for seen in verdicts.values()), verdicts
+
+
+def test_corollary_check_builds_no_monomials():
+    element = shuffle_word([1, 0, 2, 1])
+    assert corollary_check(element)[0]
+    assert element._poly is None
 
 
 def test_corollary_on_generators():

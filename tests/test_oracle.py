@@ -12,8 +12,8 @@ import random
 from pathlib import Path
 
 from intshuffle.cli import main
-from intshuffle.conditions import wheel_check
-from intshuffle.poly import LaurentPoly, z
+from intshuffle.conditions import corollary_check, wheel_check
+from intshuffle.poly import LaurentPoly, render, z
 from intshuffle.shuffle import ShuffleElement, shuffle_word
 
 _spec = importlib.util.spec_from_file_location(
@@ -101,3 +101,49 @@ def test_wheel_verdicts_of_arity_five_match_the_defining_formula():
     assert not wheel_check(shuffle_word((0,) * 5) + ShuffleElement(5, e1))
     assert any((oracle.word_value((0,) * 5, p) + sum(oracle.z_values(p, 5))) % P
                for p in _wheel_points(rng, 5))
+
+
+def _corollary_points(rng: random.Random, arity: int) -> list:
+    """z2 = -z1 on each of q1 = -1, q2 = -1 and q1 q2 = -1, the other values random."""
+    points = []
+    for which in ("q1", "q2", "q"):
+        point = oracle.random_point(rng, arity)
+        point["z2"] = -point["z1"] % P
+        if which == "q":
+            point["q2"] = (P - 1) * oracle.inv(point["q1"]) % P
+        else:
+            point[which] = P - 1
+        points.append(point)
+    return points
+
+
+def _corollary_agrees(element: ShuffleElement, value, rng: random.Random) -> bool:
+    """Whether corollary_check's verdict and cofactor agree with `value`, the
+    element's value at a point: divisible exactly when the value vanishes at
+    every corollary point, and then the cofactor times (1+q1)(1+q2)(1+q) is
+    the value at a random point with z2 = -z1."""
+    holds, cofactor = corollary_check(element)
+    if holds != all(value(p) == 0 for p in _corollary_points(rng, element.arity)):
+        return False
+    if not holds:
+        return cofactor is None
+    point = oracle.random_point(rng, element.arity)
+    point["z2"] = -point["z1"] % P
+    image = value(point)
+    del point["z2"]  # the cofactor must not mention z2
+    q1, q2 = point["q1"], point["q2"]
+    divisor = (1 + q1) * (1 + q2) % P * (1 + q1 * q2) % P
+    return oracle.evaluate(render(cofactor), point) * divisor % P == image
+
+
+def test_corollary_of_arity_five_matches_the_defining_formula():
+    rng = random.Random(24)
+    for word in ((0, 0, 0, 0, 0), (1, 0, 2, 0, -1), (0, 1, -1, 2, 0)):
+        assert _corollary_agrees(shuffle_word(word),
+                                 lambda p, w=word: oracle.word_value(w, p), rng), word
+    # sh[0,0,0,0,0] + e1 is not divisible, and the formula says so too
+    e1 = sum((z(i) for i in range(1, 6)), LaurentPoly.zero())
+    element = shuffle_word((0,) * 5) + ShuffleElement(5, e1)
+    assert not corollary_check(element)[0]
+    assert _corollary_agrees(
+        element, lambda p: (oracle.word_value((0,) * 5, p) + sum(oracle.z_values(p, 5))) % P, rng)
