@@ -81,7 +81,7 @@ from .poly import (
     substitute,
     z,
 )
-from .schur import _orbit, monomial_coefficients
+from .schur import from_monomial_basis, monomial_coefficients
 from .shuffle import ShuffleElement, _vandermonde, omega_numerator, shuffle_word
 
 
@@ -332,8 +332,9 @@ def corollary_check(element: ShuffleElement) -> tuple[bool, LaurentPoly | None]:
     * The terms z1^s m_nu(z3..zk) of distinct (s, nu) share no monomial, so
       the image is sum R_(s,nu) z1^s m_nu with one q-row R per (s, nu).  D
       is free of z, so it divides the image exactly when it divides every R.
-    * The cofactor sum (R / D) z1^s m_nu is expanded over the orbits of nu,
-      as `from_alternant` does: its work grows with the output, not with f.
+    * The cofactor sum (R / D) z1^s m_nu is expanded over the orbits of nu
+      by `schur.from_monomial_basis`, which `from_alternant` also uses: its
+      work grows with the output, not with f.
     """
     k = element.arity
     if k < 2:
@@ -353,15 +354,8 @@ def corollary_check(element: ShuffleElement) -> tuple[bool, LaurentPoly | None]:
                 add_into(target, row, sign)
     divisor = (1 + Q1) * (1 + Q2) * (1 + Q)
     try:
-        quotients = [(s, nu, exact_div(LaurentPoly._raw(row), divisor).terms)
-                     for (s, nu), row in rows.items() if row]
+        quotients = {(s, 0) + nu: exact_div(LaurentPoly._raw(row), divisor).terms
+                     for (s, nu), row in rows.items() if row}
     except NotDivisible:
         return (False, None)
-    out: dict = {}
-    for s, nu, quotient in quotients:
-        orbit = _orbit(nu)
-        for qpart, c in quotient.items():
-            head = (qpart + (0, 0))[:2] + (s, 0)
-            for zpart in orbit:
-                out[trimmed(head + zpart)] = c
-    return (True, LaurentPoly._raw(out))
+    return (True, from_monomial_basis(quotients, fixed=2))

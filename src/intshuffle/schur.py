@@ -42,10 +42,10 @@ Going back, `monomial_coefficients` gives f on the monomial symmetric basis,
 content mu -> {q-part: c}, by inverting the same map: m_mu V straightens to
 a_{mu + delta} plus alternants below it in lex order, so the largest
 alternant left names the next content (back-substitution).
-`from_alternant` expands each content's orbit (its distinct rearrangements)
-into monomials, and `render_alternant` writes the canonical text of f
-straight from these (content, q-part) representatives: the monomials are
-never built.
+`from_monomial_basis` expands each content's orbit (its distinct
+rearrangements) into monomials, after any z-exponents held in place, and
+`render_alternant` writes the canonical text of f straight from these
+(content, q-part) representatives: the monomials are never built.
 """
 
 from __future__ import annotations
@@ -288,11 +288,17 @@ def monomial_coefficients(coeffs: dict, n: int) -> dict:
 
 def from_alternant(coeffs: dict, n: int) -> LaurentPoly:
     """The symmetric f = sum_alpha c_alpha s_{alpha - delta} in z1..zn, in monomials."""
+    return from_monomial_basis(monomial_coefficients(coeffs, n))
+
+
+def from_monomial_basis(rows: dict, fixed: int = 0) -> LaurentPoly:
+    """The monomials of sum_key row z^key[:fixed] m_key[fixed:]: `fixed`
+    z-exponents held in place, then a content whose orbit fills the rest."""
     out: dict = {}
-    for content, row in monomial_coefficients(coeffs, n).items():
-        orbit = _orbit(content)
+    for key, row in rows.items():
+        orbit = _orbit(key[fixed:])
         for qpart, c in row.items():
-            qpart = (qpart + (0, 0))[:2]
+            qpart = (qpart + (0, 0))[:2] + key[:fixed]
             for zpart in orbit:
                 out[trimmed(qpart + zpart)] = c
     return LaurentPoly._raw(out)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from intshuffle import conditions
 from intshuffle.conditions import (
     IdealCertificate,
     corollary_check,
@@ -20,7 +21,7 @@ from intshuffle.errors import ArityTooSmall, NotDivisible
 from intshuffle.expr import parse_poly
 from intshuffle.generators import GeneratorWord
 from intshuffle.poly import Q1, Q2, LaurentPoly, exact_div, render, substitute, z
-from intshuffle.shuffle import ShuffleElement, omega_numerator, shuffle_word, sym
+from intshuffle.shuffle import ShuffleElement, omega_numerator, shuffle, shuffle_word, sym
 
 Q = Q1 * Q2
 
@@ -56,28 +57,37 @@ def _wheel_by_substitution(p: LaurentPoly) -> bool:
     return all(not substitute(p, point) for point in _WHEEL_POINTS)
 
 
-def test_wheel_check_needs_both_assignments():
-    # g vanishes under (q t, q2 t, t) only, its q1 <-> q2 swap under (q t, q1 t, t) only
+def _one_assignment_elements() -> list:
+    """(g, [vanishes at each point]) for an arity-3 g that vanishes under
+    (q t, q2 t, t) only and its q1 <-> q2 swap, under (q t, q1 t, t) only."""
     g = LaurentPoly.constant(1)
     for a, b, c in itertools.permutations((1, 2, 3)):
         g = g * (z(a) - Q1 * z(b) + z(b) - Q2 * z(c))
     swapped = substitute(g, {"q1": Q2, "q2": Q1})
-    for p, vanishes in ((g, [True, False]), (swapped, [False, True])):
-        assert [not substitute(p, point) for point in _WHEEL_POINTS] == vanishes
-        assert not wheel_check(ShuffleElement(3, p))
+    return [(ShuffleElement(3, g), [True, False]), (ShuffleElement(3, swapped), [False, True])]
+
+
+def test_wheel_check_needs_both_assignments():
+    for element, vanishes in _one_assignment_elements():
+        assert [not substitute(element.poly, point) for point in _WHEEL_POINTS] == vanishes
+        assert not wheel_check(element)
 
 
 def test_wheel_check_matches_substitution():
-    # kinds: 0 a word and 2 e1 times a word minus one of its lemma-(b)
-    # summands (members); 1 a word plus e1 and 3 a symmetrized monomial
-    # (non-members).  Arity 5 leaves out kind 2, whose monomials cost 2 s.
+    # kinds: 0 a word, 2 e1 times a word minus one of its lemma-(b) summands,
+    # 4 a third of a q-shifted word and 5 a word times 3^40 + 1, above the
+    # 2^53 a float holds exactly (members); 1 a word plus e1, 3 a
+    # symmetrized monomial and 6 a half of a q-shifted word plus 3^40 + 1
+    # times a q-shifted e1 (non-members).  Arity 5 leaves out kind 2, whose
+    # monomials cost 2 s.
     rng = random.Random(23)
-    cases = [(3, kind) for kind in range(4) for _ in range(4)]
-    cases += [(4, kind) for kind in range(4) for _ in range(2)]
+    cases = [(3, kind) for kind in range(7) for _ in range(3)]
+    cases += [(4, kind) for kind in range(7) for _ in range(2)]
     cases += [(5, 0), (5, 1), (5, 3)]
-    verdicts: dict = {}
+    big = 3 ** 40 + 1
+    elements = []  # (label, element)
     for k, kind in cases:
-        word = [rng.randint(-1, 2) for _ in range(k)] if k < 5 else [0] * k
+        word = [rng.randint(-2, 2) for _ in range(k)] if k < 5 else [0] * k
         e1 = sum((z(i) for i in range(1, k + 1)), LaurentPoly.zero())
         element = shuffle_word(word)
         if kind == 1:
@@ -86,16 +96,38 @@ def test_wheel_check_matches_substitution():
             element = element.scaled(e1) - shuffle_word([word[0] + 1] + word[1:])
         elif kind == 3:
             element = _random_symmetric(rng, k)
+        elif kind == 4:
+            element = element.scaled(Fraction(1, 3) * Q1 ** -1 * Q2 ** 2)
+        elif kind == 5:
+            element = element.scaled(big)
+        elif kind == 6:
+            element = element.scaled(Fraction(1, 2) * Q2 ** -1) + ShuffleElement(k, big * Q1 * e1)
+        elements.append(((k, kind, word), element))
+    # arity 4: the product with z1^0 keeps vanishing under one assignment only
+    for element, vanishes in _one_assignment_elements():
+        element = shuffle(element, shuffle_word([0]))
+        assert [not substitute(element.poly, point) for point in _WHEEL_POINTS] == vanishes
+        elements.append(((4, "vanishes", vanishes), element))
+    verdicts: dict = {}
+    for label, element in elements:
         verdict = wheel_check(element)
-        assert verdict == _wheel_by_substitution(element.poly), (k, kind, word)
-        verdicts.setdefault(k, set()).add(verdict)
+        assert verdict == _wheel_by_substitution(element.poly), label
+        verdicts.setdefault(element.arity, set()).add(verdict)
     assert all(seen == {True, False} for seen in verdicts.values())
 
 
-def test_wheel_check_builds_no_monomials():
-    element = shuffle_word([1, 0, 2, 1])
-    assert wheel_check(element)
-    assert element._poly is None
+def test_wheel_check_builds_no_monomials(monkeypatch):
+    # nor the monomial symmetric basis, whose contents outnumber the
+    # alternants with large letters: sh[0,0,1000] has 17 alternants and
+    # 84,838 contents
+    def refuse(*args):
+        raise AssertionError("the wheel verdict read the monomial symmetric basis")
+
+    monkeypatch.setattr(conditions, "monomial_coefficients", refuse)
+    for word in ([1, 0, 2, 1], [0, 0, 1000]):
+        element = shuffle_word(word)
+        assert wheel_check(element)
+        assert element._poly is None
 
 
 def test_ideal_wheel_check_examples():

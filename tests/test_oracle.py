@@ -2,19 +2,22 @@
 
 `perfbench/oracle.py` imports nothing from `intshuffle`: it evaluates a word
 from its defining symmetrized formula, and a printed polynomial through its
-own term reader, at random points modulo a prime.  The reference
+own term reader, at random points modulo a prime; a product of two elements
+is evaluated here from the same formula over the oracle's kernel.  The reference
 `shuffle_full_sym` is too slow for Tier-1 beyond arity 4; these checks reach
 arity 6.
 """
 
 import importlib.util
+import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from intshuffle.cli import main
 from intshuffle.conditions import corollary_check, wheel_check
 from intshuffle.poly import LaurentPoly, render, z
-from intshuffle.shuffle import ShuffleElement, shuffle_word
+from intshuffle.shuffle import ShuffleElement, shuffle, shuffle_word
 
 _spec = importlib.util.spec_from_file_location(
     "oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
@@ -68,6 +71,41 @@ def test_words_match_the_defining_formula():
         point = oracle.random_point(rng, len(word))
         got = _alternant_value(shuffle_word(word).coeffs, len(word), point)
         assert got == oracle.word_value(word, point), word
+
+
+def test_products_of_arity_five_match_the_defining_formula():
+    # F = (z1 + z2) sh[1,0] - sh[0,0] and G = sh[0,1,2] + 1/2 sh[0,0,0]; the
+    # product is 1/(2! 3!) Sym[F(z1, z2) G(z3, z4, z5) prod_{a<=2<b} omega(z_a, z_b)]
+    left = shuffle_word((1, 0)).scaled(z(1) + z(2)) - shuffle_word((0, 0))
+    right = shuffle_word((0, 1, 2)) + shuffle_word((0, 0, 0)).scaled(Fraction(1, 2))
+
+    def left_value(p):
+        return ((p["z1"] + p["z2"]) * oracle.word_value((1, 0), p)
+                - oracle.word_value((0, 0), p)) % P
+
+    def right_value(p):
+        return (oracle.word_value((0, 1, 2), p)
+                + oracle.inv(2) * oracle.word_value((0, 0, 0), p)) % P
+
+    def product_value(point):
+        q1, q2 = point["q1"], point["q2"]
+        zs = oracle.z_values(point, 5)
+        total = 0
+        for perm in itertools.permutations(zs):
+            v = left_value({"q1": q1, "q2": q2, "z1": perm[0], "z2": perm[1]})
+            v = v * right_value({"q1": q1, "q2": q2, "z1": perm[2], "z2": perm[3],
+                                 "z3": perm[4]}) % P
+            for a in perm[:2]:
+                for b in perm[2:]:
+                    v = v * oracle.omega(a, b, q1, q2) % P
+            total += v
+        return total * oracle.inv(2 * 6) % P
+
+    coeffs = shuffle(left, right).coeffs
+    rng = random.Random(25)
+    point = oracle.random_point(rng, 5)
+    for p in (point, oracle.permuted(point, rng)):
+        assert _alternant_value(coeffs, 5, p) == product_value(p)
 
 
 def test_expand_text_of_arity_five_matches_the_defining_formula(capsys):
