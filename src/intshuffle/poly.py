@@ -20,10 +20,10 @@ exact quotient's exponents are bounded below, slot by slot, by the
 dividend's lowest exponents minus the divisor's.  The canonical text lists
 terms descending in this order, prints coefficients as reduced fractions and
 exponents as `q1^a q2^b z1^c ...`, omitting exponent 1 and unit factors.
-One formatter writes it from terms grouped by (total degree, q1 exponent, q2
-exponent), each group a list of z-parts: `render` fills the groups from a
-term map, and `schur.render_alternant` fills them from a symmetric element's
-orbit representatives without building its monomials.
+The text is written one (total degree, q1 exponent, q2 exponent) group at a
+time, each term a prefix (sign, magnitude, q-part) before its z-part, by the
+helpers below: `render` sorts each group of a term map by z-part, and
+`schur.render_alternant` writes an element orbit by orbit, with no monomials.
 """
 
 from __future__ import annotations
@@ -425,65 +425,60 @@ def is_symmetric(p: LaurentPoly, k: int) -> bool:
 # -- canonical rendering ------------------------------------------------------
 
 
-def _render_groups(groups: dict) -> str:
-    """Canonical text of terms grouped by (total degree, q1 exponent, q2
-    exponent), each group a list of (z-exponents, coefficient) with the
-    z-parts of one width and distinct within a group.
+def _factors_text(exponents, first_slot: int) -> str:
+    """` v^e` for each nonzero exponent, each led by a space, v the variable
+    of its slot counted from first_slot, exponent 1 omitted: the text a
+    term's q-part or z-part adds to it."""
+    return "".join([f" {_slot_name(slot)}^{e}" if e != 1 else " " + _slot_name(slot)
+                    for slot, e in enumerate(exponents, first_slot) if e])
 
-    Descending group keys, then descending z-parts, is the descending
-    graded-lex order of the monomials.  The text of each (slot, exponent)
-    factor and of each z-part is built once.  `groups` is emptied.
-    """
-    if not groups:
+
+def _head(c: Coefficient) -> str:
+    """A term's sign and magnitude, the magnitude left out when 1: `+`, `- 3/4`."""
+    mag = abs(c)
+    return ("-" if c < 0 else "+") + ("" if mag == 1 else f" {mag}")
+
+
+def _bare(prefix: str) -> str:
+    """The text of a term without z-factors from its prefix (head and q-part
+    text): a prefix that is a sign alone is the constant 1 or -1."""
+    return prefix + " 1" if len(prefix) == 1 else prefix
+
+
+def _join_groups(chunks: list) -> str:
+    """The canonical text of the groups' texts in descending order, each
+    term led by its sign as in `+ 2 z1`: the first term drops a `+ `."""
+    if not chunks:
         return "0"
-    factors: dict = {}  # (slot, exponent) -> factor text such as `z2^3`
-    ztexts: dict = {}  # z-part -> its factors' text
-
-    def text(slot_exponents) -> str:
-        names = []
-        for key in slot_exponents:
-            if key[1]:
-                name = factors.get(key)
-                if name is None:
-                    slot, e = key
-                    name = factors[key] = _slot_name(slot) + (f"^{e}" if e != 1 else "")
-                names.append(name)
-        return " ".join(names)
-
-    heads: dict = {}  # coefficient -> its sign and magnitude, as "+ " or "- 3/4 "
-    chunks: list[str] = []  # the text of each group, the group freed once written
-    for key in sorted(groups, reverse=True):
-        qtext = text(((0, key[1]), (1, key[2])))
-        group = groups.pop(key)
-        group.sort(key=itemgetter(0), reverse=True)
-        pieces = []
-        for zpart, coeff in group:
-            body = ztexts.get(zpart)
-            if body is None:
-                body = ztexts[zpart] = text(enumerate(zpart, _Q_SLOTS))
-            if qtext:
-                body = qtext + " " + body if body else qtext
-            head = heads.get(coeff)
-            if head is None:
-                mag = abs(coeff)
-                head = heads[coeff] = ("- " if coeff < 0 else "+ ") + (
-                    "" if mag == 1 else f"{mag} ")
-            if body:
-                pieces.append(head + body)
-            else:  # the constant term
-                pieces.append(head[:2] + str(abs(coeff)))
-        chunks.append(" ".join(pieces))
     first = chunks[0]
     chunks[0] = "-" + first[2:] if first[0] == "-" else first[2:]
     return " ".join(chunks)
 
 
 def render(p: LaurentPoly) -> str:
-    """Canonical text form: descending monomial order, reduced fractions."""
+    """Canonical text form: descending monomial order, reduced fractions,
+    written as descending (total degree, q1, q2) groups, each sorted by z-part."""
     width = max(map(len, p.terms), default=0)
     pad = (0,) * max(width, _Q_SLOTS)
     groups: dict = {}
     for mono, coeff in p.terms.items():
         mono += pad[len(mono):]
         groups.setdefault((sum(mono), mono[0], mono[1]), []).append((mono[_Q_SLOTS:], coeff))
-    return _render_groups(groups)
+    ztexts: dict = {}  # z-part -> its text
+    heads: dict = {}  # coefficient -> its head
+    chunks = []
+    for key in sorted(groups, reverse=True):
+        qtext = _factors_text(key[1:], 0)
+        group = groups[key]
+        group.sort(key=itemgetter(0), reverse=True)
+        pieces = []
+        for zpart, coeff in group:
+            body = ztexts.get(zpart)
+            if body is None:
+                body = ztexts[zpart] = _factors_text(zpart, _Q_SLOTS)
+            head = heads.get(coeff)
+            if head is None:
+                head = heads[coeff] = _head(coeff)
+            pieces.append(head + qtext + body if body else _bare(head + qtext))
+        chunks.append(" ".join(pieces))
+    return _join_groups(chunks)

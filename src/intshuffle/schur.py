@@ -45,7 +45,8 @@ alternant left names the next content (back-substitution).
 `from_monomial_basis` expands each content's orbit (its distinct
 rearrangements) into monomials, after any z-exponents held in place, and
 `render_alternant` writes the canonical text of f straight from these
-(content, q-part) representatives: the monomials are never built.
+(content, q-part) representatives, each one prefix before the text of every
+z-part of its orbit, and each z-part's text built once: no monomial is built.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from functools import lru_cache
 from operator import add, lshift, sub
 
 from ._terms_py import add_into, cleared, ratio, trimmed
-from .poly import LaurentPoly, _render_groups
+from .poly import _Q_SLOTS, LaurentPoly, _bare, _factors_text, _head, _join_groups
 
 # digit bytes -> (slot bytes, type code) of the `array` that reads such
 # signed digits, each in a slot of its own width or the next wider one
@@ -305,18 +306,46 @@ def from_monomial_basis(rows: dict, fixed: int = 0) -> LaurentPoly:
 
 
 def render_alternant(coeffs: dict, n: int) -> str:
-    """`render(from_alternant(coeffs, n))`, written from each content's orbit
-    without building the monomials: a content's orbit and q-part fill one
-    group of the formatter, and orbits of distinct contents are disjoint."""
-    groups: dict = {}
+    """`render(from_alternant(coeffs, n))`, written orbit by orbit without
+    building the monomials.  The disjoint orbits of one z-degree's contents,
+    merged, form one descending line of z-parts, each z-part's text built
+    once.  A (total degree, q1, q2) group writes one prefix per (content,
+    q-part) before each z-text of its orbit: one member in orbit order, more
+    in the order of their ranks in the line."""
+    by_degree: dict = {}
     for content, row in monomial_coefficients(coeffs, n).items():
-        degree = sum(content)
-        orbit = _orbit(content)
-        for qpart, c in row.items():
-            q1, q2 = (qpart + (0, 0))[:2]
-            group = groups.setdefault((degree + q1 + q2, q1, q2), [])
-            group.extend(zip(orbit, itertools.repeat(c)))
-    return _render_groups(groups)
+        by_degree.setdefault(sum(content), []).append((_orbit(content), row))
+    lines: dict = {}  # z-degree -> the texts of its line
+    groups: dict = {}  # (total degree, q1, q2) -> [(coefficient, ranks)]
+    for d, members in by_degree.items():
+        line = sorted(itertools.chain.from_iterable(orbit for orbit, _ in members), reverse=True)
+        lines[d] = [_factors_text(zpart, _Q_SLOTS) for zpart in line]
+        rank = dict(zip(line, itertools.count())).__getitem__
+        for orbit, row in members:
+            ranks = tuple(map(rank, orbit))
+            for qpart, c in row.items():
+                q1, q2 = (qpart + (0, 0))[:2]
+                groups.setdefault((d + q1 + q2, q1, q2), []).append((c, ranks))
+    chunks = []
+    for key in sorted(groups, reverse=True):
+        total, q1, q2 = key
+        texts = lines[total - q1 - q2]
+        qtext = _factors_text((q1, q2), 0)
+        written = []  # (prefix, ranks) of each member
+        for c, ranks in groups[key]:
+            prefix = _head(c) + qtext
+            # only the zero content has an empty z-text, and its orbit is itself
+            written.append((prefix if texts[ranks[0]] else _bare(prefix), ranks))
+        if len(written) == 1:
+            prefix, ranks = written[0]
+            chunks.append(prefix + (" " + prefix).join(map(texts.__getitem__, ranks)))
+            continue
+        at = [None] * len(texts)  # rank -> the prefix of its member
+        for prefix, ranks in written:
+            for r in ranks:
+                at[r] = prefix
+        chunks.append(" ".join(map(add, filter(None, at), itertools.compress(texts, at))))
+    return _join_groups(chunks)
 
 
 @lru_cache(maxsize=4096)

@@ -24,7 +24,7 @@ from intshuffle.poly import (
     substitute,
     z,
 )
-from intshuffle.shuffle import element_sum, shuffle_word, sym
+from intshuffle.shuffle import ShuffleElement, element_sum, shuffle_word, sym
 
 Q = Q1 * Q2
 
@@ -476,12 +476,22 @@ def _assert_normal(p):
 _HALF = LaurentPoly.constant(Fraction(1, 2))
 
 
+def _pair(a, b):
+    """z1^a z2^b + z1^b z2^a, symmetric in z1, z2."""
+    return z(1) ** a * z(2) ** b + z(1) ** b * z(2) ** a
+
+
 @given(_mixed_polys(), _mixed_polys(), _fraction_coeffs)
 # products and sums of halves that are integers, and must be stored as ints
 @example(_HALF * z(1), LaurentPoly.zero(), 2)
 @example(_HALF * z(1), _HALF * z(1), 0)
 @example(_HALF * z(1), 2 * z(2), 0)
 @example(_HALF * z(1), _HALF * z(1) + Q1, 0)
+# a term without z-factors between two with them, under a q-part and not;
+# the constants -1 and 1; a Fraction; negative leading terms
+@example(-2 * Q1**2 * Q2**3 - 4 * Q1**2 * Q2**3 * _pair(1, -1), _HALF, 0)
+@example(z(1) * z(2) ** -1 - 1 + _HALF * z(1) ** -1 * z(2) - Q2, _HALF, 0)
+@example(1 - z(1), _HALF, 0)
 @settings(max_examples=300, deadline=None)
 def test_render_matches_sorted_reference(p, r, c):
     assert render(p) == _reference_render(p)
@@ -525,6 +535,15 @@ def _elements(draw):
 
 
 @given(_elements())
+# the zero content shares the degree-0 line with (1, -1) and (2, -2): under
+# a q-part, with a negative leading term; without one, beside a Fraction and
+# a coefficient of magnitude 1; as the constant -1 in a two-content group
+@example(ShuffleElement(2, -2 * Q1**2 * Q2**3 - 4 * Q1**2 * Q2**3 * _pair(1, -1)))
+@example(ShuffleElement(2, 3 + _pair(1, -1) - Fraction(1, 2) * _pair(2, -2)))
+@example(ShuffleElement(2, -1 + Fraction(3, 4) * _pair(1, -1) + Q1 * _pair(1, -1)))
+# arity 0 and arity 1
+@example(ShuffleElement(0, -Q1 + Fraction(3, 4) + Q2**-2))
+@example(ShuffleElement(1, z(1) ** -1 - Q2 * z(1) + 1))
 @settings(max_examples=40, deadline=None)
 def test_element_text_matches_sorted_reference(element):
     assert str(element) == _reference_render(element.poly)
