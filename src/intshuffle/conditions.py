@@ -175,7 +175,8 @@ def ideal_wheel_check(element: ShuffleElement) -> bool:
     """
     if element.arity < 3:
         raise ArityTooSmall("the wheel ideals live in arity >= 3")
-    return all(not substitute(element.poly, assignment)
+    poly = element.poly
+    return all(not substitute(poly, assignment)
                for assignment in ({"z2": Q1 * z(1), "z3": Q * z(1)},
                                   {"z2": Q2 * z(1), "z3": Q * z(1)}))
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import reduce
-from operator import add, itemgetter, lt, neg, sub
+from operator import add, index, itemgetter, lt, neg, sub
 from typing import Iterable, Mapping, Union
 
 from ._terms_py import add_into, div_binomial, mul_terms, normal, permute_slots, ratio, trimmed
@@ -75,23 +75,21 @@ def _slot_name(slot: int) -> str:
 class LaurentPoly:
     """An immutable exact Laurent polynomial."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple, Coefficient] | None = None):
         clean: dict = {}
         for mono, coeff in (terms or {}).items():
             coeff = normal(coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff))
             if coeff:
-                add_into(clean, {trimmed(tuple(mono)): coeff})
+                add_into(clean, {trimmed(tuple(map(index, mono))): coeff})
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _raw(cls, terms: dict) -> "LaurentPoly":
         """Wrap a dict already in canonical form (kernel output)."""
         self = object.__new__(cls)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
         return self
 
     # -- constructors ------------------------------------------------------
@@ -107,6 +105,7 @@ class LaurentPoly:
     @classmethod
     def variable(cls, name: str, exponent: int = 1) -> "LaurentPoly":
         slot = _slot(name)
+        exponent = index(exponent)
         if exponent == 0:
             return cls.constant(1)
         mono = [0] * (slot + 1)
@@ -125,15 +124,10 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            terms = self.terms
-            if terms.keys() <= {()}:  # a constant hashes as the number it equals
-                h = hash(terms.get((), 0))
-            else:
-                h = hash(frozenset(terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
+        terms = self.terms
+        if terms.keys() <= {()}:  # a constant hashes as the number it equals
+            return hash(terms.get((), 0))
+        return hash(frozenset(terms.items()))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")

@@ -18,18 +18,18 @@ because the symmetrization of a_mu(z_1..z_k) a_nu(z_{k+1}..z_{k+l}) K is
 k!.l! times that of z^(mu || nu) K; the 1/(k!.l!) cancels exactly.  Each
 a_gamma is straightened to 0 or a signed a_alpha with alpha strictly
 decreasing.  A word z1^{d1} * ... * z1^{dk} is folded letter by letter:
-z1^d is a_(d) (V_1 = 1), so each step appends d to the alternants of the
-cached prefix, of arity j, and straightens their rows, uncopied, against
-the K of arities j and 1.
+z1^d is a_(d) (V_1 = 1), so each step is the shuffle product of the cached
+prefix with the one-letter element z1^d.
 Sums, scaling and equality act on the coefficients too, and monomials are
-built only where they are read.  No numerator is multiplied out and nothing
-is divided, so all arithmetic stays exact.
+built only where they are read, afresh on each read.  No numerator is
+multiplied out and nothing is divided, so all arithmetic stays exact.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -54,32 +54,30 @@ from .schur import alternant, from_alternant, group_by_z, render_alternant, stra
 class ShuffleElement:
     """An element of V_k: a symmetric Laurent polynomial f in z1..zk.
 
-    It is stored as `arity` and `coeffs`, the alternant coefficients of
-    f V_k (see `schur`); `poly`, the monomials of f, is built on first read.
+    It is stored only as `arity` and `coeffs`, the alternant coefficients
+    of f V_k (see `schur`); `poly`, the monomials of f, is built on each read.
     Treat it as immutable: `coeffs` may be shared with the word cache.
     """
 
-    __slots__ = ("arity", "coeffs", "_poly")
+    __slots__ = ("arity", "coeffs")
 
     def __init__(self, arity: int, poly: LaurentPoly):
         if arity < 0:
             raise ValueError("arity must be nonnegative")
         if not is_symmetric(poly, arity):
             raise NotSymmetric(f"polynomial is not symmetric in z1..z{arity}")
-        self.arity, self.coeffs, self._poly = arity, alternant(poly, arity), poly
+        self.arity, self.coeffs = arity, alternant(poly, arity)
 
     @classmethod
     def _of(cls, arity: int, coeffs: dict) -> "ShuffleElement":
         """The element with alternant coefficients `coeffs`, symmetric by form."""
         self = object.__new__(cls)
-        self.arity, self.coeffs, self._poly = arity, coeffs, None
+        self.arity, self.coeffs = arity, coeffs
         return self
 
     @property
     def poly(self) -> LaurentPoly:
-        if self._poly is None:
-            self._poly = from_alternant(self.coeffs, self.arity)
-        return self._poly
+        return from_alternant(self.coeffs, self.arity)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ShuffleElement):
@@ -225,13 +223,11 @@ def scalar(value) -> ShuffleElement:
 
 @lru_cache(maxsize=256)
 def _word_alternant(exponents: tuple[int, ...]) -> dict:
-    """Alternant coefficients of a word, folded letter by letter (see
-    above); the prefixes come from this cache too."""
+    """Alternant coefficients of a word: the shuffle product of its prefix
+    with its last letter (see above); the prefixes come from this cache too."""
     if len(exponents) <= 1:
         return {exponents: {(): 1}}
-    last = exponents[-1:]
-    rows = {mu + last: row for mu, row in _word_alternant(exponents[:-1]).items()}
-    return straighten_sum(rows, _cross_kernel(len(exponents) - 1, 1))
+    return shuffle(shuffle_word(exponents[:-1]), shuffle_word(exponents[-1:])).coeffs
 
 
 def shuffle_word(word: Sequence[int] | Iterable[int]) -> ShuffleElement:
@@ -240,5 +236,5 @@ def shuffle_word(word: Sequence[int] | Iterable[int]) -> ShuffleElement:
     The empty word gives the arity-0 scalar 1.  Association order does not
     matter: the product is associative.
     """
-    exponents = tuple(word)
+    exponents = tuple(map(operator.index, word))
     return ShuffleElement._of(len(exponents), _word_alternant(exponents))

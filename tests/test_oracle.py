@@ -8,11 +8,15 @@ is evaluated here from the same formula over the oracle's kernel.  The reference
 arity 6.
 """
 
+import functools
 import importlib.util
 import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from intshuffle.cli import main
 from intshuffle.conditions import corollary_check, wheel_check
@@ -49,13 +53,17 @@ def _det(rows: list) -> int:
 def _alternant_value(coeffs: dict, k: int, point: dict) -> int:
     """sum_alpha c_alpha(q1, q2) det(z_i^alpha_j) / V at `point`, V = prod_{i<j}(z_i - z_j)."""
     zs = oracle.z_values(point, k)
+    inv = functools.cache(oracle.inv)
+    weights: dict = {}  # q-part -> its value at the point, as the rows share q-parts
     total = 0
     for alpha, row in coeffs.items():
         c = 0
         for qpart, coeff in row.items():
-            a, b = (tuple(qpart) + (0, 0))[:2]
-            term = pow(point["q1"], a, P) * pow(point["q2"], b, P) % P
-            c += term * (coeff.numerator * oracle.inv(coeff.denominator % P)) % P
+            weight = weights.get(qpart)
+            if weight is None:
+                a, b = (tuple(qpart) + (0, 0))[:2]
+                weight = weights[qpart] = pow(point["q1"], a, P) * pow(point["q2"], b, P) % P
+            c += weight * coeff.numerator % P * inv(coeff.denominator % P)
         total += c % P * _det([[pow(z, e, P) for e in alpha] for z in zs])
     vandermonde = 1
     for i in range(k):
@@ -73,39 +81,79 @@ def test_words_match_the_defining_formula():
         assert got == oracle.word_value(word, point), word
 
 
-def test_products_of_arity_five_match_the_defining_formula():
-    # F = (z1 + z2) sh[1,0] - sh[0,0] and G = sh[0,1,2] + 1/2 sh[0,0,0]; the
-    # product is 1/(2! 3!) Sym[F(z1, z2) G(z3, z4, z5) prod_{a<=2<b} omega(z_a, z_b)]
-    left = shuffle_word((1, 0)).scaled(z(1) + z(2)) - shuffle_word((0, 0))
-    right = shuffle_word((0, 1, 2)) + shuffle_word((0, 0, 0)).scaled(Fraction(1, 2))
+def _words(k: int, letters=st.integers(-2, 2)):
+    return st.lists(letters, min_size=k, max_size=k).map(tuple)
 
-    def left_value(p):
-        return ((p["z1"] + p["z2"]) * oracle.word_value((1, 0), p)
-                - oracle.word_value((0, 0), p)) % P
 
-    def right_value(p):
-        return (oracle.word_value((0, 1, 2), p)
-                + oracle.inv(2) * oracle.word_value((0, 0, 0), p)) % P
+def _operands(k: int):
+    """Sums of one or two arity-k words, each scaled by c q1^a q2^b, times e1
+    when the flag is set: (c, a, b, flag) for each word.  Letters stay in
+    [-1, 1] and sums short, as the product's cost grows with the alternants
+    of both operands."""
+    scalars = st.tuples(st.fractions(-3, 3, max_denominator=4), st.integers(-1, 2),
+                        st.integers(-1, 2), st.booleans())
+    return st.lists(st.tuples(scalars, _words(k, st.integers(-1, 1))), min_size=1, max_size=2)
 
-    def product_value(point):
-        q1, q2 = point["q1"], point["q2"]
-        zs = oracle.z_values(point, 5)
-        total = 0
-        for perm in itertools.permutations(zs):
-            v = left_value({"q1": q1, "q2": q2, "z1": perm[0], "z2": perm[1]})
-            v = v * right_value({"q1": q1, "q2": q2, "z1": perm[2], "z2": perm[3],
-                                 "z3": perm[4]}) % P
-            for a in perm[:2]:
-                for b in perm[2:]:
-                    v = v * oracle.omega(a, b, q1, q2) % P
-            total += v
-        return total * oracle.inv(2 * 6) % P
 
-    coeffs = shuffle(left, right).coeffs
-    rng = random.Random(25)
+def _operand_element(operand: list, k: int) -> ShuffleElement:
+    e1 = sum((z(i) for i in range(1, k + 1)), LaurentPoly.zero())
+    total = ShuffleElement(k, LaurentPoly.zero())
+    for (c, a, b, with_e1), word in operand:
+        scalar = LaurentPoly({(a, b): c})
+        total = total + shuffle_word(word).scaled(scalar * e1 if with_e1 else scalar)
+    return total
+
+
+def _operand_value(operand: list, q1: int, q2: int, zs: tuple) -> int:
+    point = {"q1": q1, "q2": q2, **{f"z{i + 1}": v for i, v in enumerate(zs)}}
+    total = 0
+    for (c, a, b, with_e1), word in operand:
+        v = c.numerator * oracle.inv(c.denominator) * pow(q1, a, P) % P * pow(q2, b, P) % P
+        if with_e1:
+            v = v * sum(zs) % P
+        total += v * oracle.word_value(word, point)
+    return total % P
+
+
+def _product_value(left: list, right: list, point: dict) -> int:
+    """1/(2! 3!) Sym[F(z1, z2) G(z3, z4, z5) prod_{a<=2<b} omega(z_a, z_b)]."""
+    q1, q2 = point["q1"], point["q2"]
+    total = 0
+    for perm in itertools.permutations(oracle.z_values(point, 5)):
+        v = _operand_value(left, q1, q2, perm[:2]) * _operand_value(right, q1, q2, perm[2:]) % P
+        for a in perm[:2]:
+            for b in perm[2:]:
+                v = v * oracle.omega(a, b, q1, q2) % P
+        total += v
+    return total * oracle.inv(2 * 6) % P
+
+
+@settings(max_examples=6, deadline=None)
+@given(case=st.one_of(_words(5), st.tuples(_operands(2), _operands(3))),
+       seed=st.integers(0, 2**32 - 1))
+# F = (z1 + z2) sh[1,0] - sh[0,0] and G = sh[0,1,2] + 1/2 sh[0,0,0]
+@example(case=([((Fraction(1), 0, 0, True), (1, 0)), ((Fraction(-1), 0, 0, False), (0, 0))],
+               [((Fraction(1), 0, 0, False), (0, 1, 2)),
+                ((Fraction(1, 2), 0, 0, False), (0, 0, 0))]),
+         seed=25)
+def test_random_operands_match_the_defining_formula(case, seed):
+    # a word of arity 5, folded letter by letter, or the product F * G of an
+    # arity-2 and an arity-3 operand
+    if isinstance(case[0], int):
+        coeffs = shuffle_word(case).coeffs
+
+        def value(p):
+            return oracle.word_value(case, p)
+    else:
+        left, right = case
+        coeffs = shuffle(_operand_element(left, 2), _operand_element(right, 3)).coeffs
+
+        def value(p):
+            return _product_value(left, right, p)
+    rng = random.Random(seed)
     point = oracle.random_point(rng, 5)
     for p in (point, oracle.permuted(point, rng)):
-        assert _alternant_value(coeffs, 5, p) == product_value(p)
+        assert _alternant_value(coeffs, 5, p) == value(p)
 
 
 def test_expand_text_of_arity_five_matches_the_defining_formula(capsys):

@@ -147,8 +147,8 @@ def test_divide_vandermonde_inverts_the_product(n):
 
 
 def test_conversion_leaves_the_cached_word_alone():
-    # the word cache hands its rows to every caller, and the fold hands them
-    # on uncopied to the next letter; converting to monomials or to text, or
+    # the word cache hands its rows to every caller, and the fold reads them
+    # again for the next letter; converting to monomials or to text, or
     # multiplying on, must not write into them
     word = (1, 0, 2, -1)
     coeffs = _word_alternant(word)

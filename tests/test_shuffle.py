@@ -238,6 +238,21 @@ def test_shuffle_element_validation():
         ShuffleElement(-1, LaurentPoly.constant(1))
 
 
+def test_non_integer_exponents_refused():
+    # a non-integer letter would make alternants such as (2.5, 2), which the
+    # conversion to monomials never finishes reducing
+    calls = (
+        lambda: shuffle_word((1.5, 0)),
+        lambda: one_variable(0.5),
+        lambda: LaurentPoly({(0, 0, 1.5): 1}),
+        lambda: LaurentPoly.variable("z1", 0.5),
+        lambda: z(1, 0.5),
+    )
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_mixed_arity_addition_rejected():
     with pytest.raises(ValueError):
         shuffle_word([0, 0]) + shuffle_word([0])
