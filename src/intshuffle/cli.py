@@ -88,7 +88,7 @@ def _cmd_lemma(args) -> int:
     return _verdict(args, verify_lemma(_parse_word_arg(args.word), args.n, args.relation))
 
 
-def _cmd_certificate(args, build, verify) -> int:
+def _cmd_certificate(build, verify, args) -> int:
     """reduce2, reduce3 and ideal-cert: print a certificate, checked on --verify."""
     cert = build(_parse_word_arg(args.word))
     verified = verify(cert) if args.verify else None
@@ -109,7 +109,7 @@ def _cmd_assoc(args) -> int:
     return _verdict(args, shuffle(shuffle(za, zb), zc) == shuffle(za, shuffle(zb, zc)))
 
 
-def _cmd_verify_file(args, certificate_class, verify) -> int:
+def _cmd_verify_file(certificate_class, verify, args) -> int:
     """verify-cert and verify-ideal-cert: the verdict on a certificate file."""
     with open(args.file, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -148,6 +148,35 @@ def _cmd_props(args) -> int:
     return 0 if all_ok else 1
 
 
+_EXPR, _FILE = [("expr", {})], [("file", {})]
+_CERTIFICATE = [("word", {}), ("--verify", {"action": "store_true"})]
+
+# every command in the order of `--help`: name -> (help, handler, arguments),
+# each argument a name or flag with the keywords of its `add_argument`
+_COMMANDS = {
+    "expand": ("evaluate an expression and print it canonically", _cmd_expand, _EXPR),
+    "wheel": ("test the wheel conditions for an expression", _cmd_wheel, _EXPR),
+    "corollary": ("test divisibility of the z2:=-z1 image", _cmd_corollary, _EXPR),
+    "lemma": ("verify a module-action relation by expansion", _cmd_lemma,
+              [("relation", {"choices": ("a", "b")}), ("word", {}), ("n", {"type": int})]),
+    "reduce2": ("certificate over the arity-2 basis",
+                functools.partial(_cmd_certificate, reduce2, verify_certificate), _CERTIFICATE),
+    "reduce3": ("certificate over the arity-3 basis",
+                functools.partial(_cmd_certificate, reduce3, verify_certificate), _CERTIFICATE),
+    "ideal-cert": ("cofactors over the two-generator ideal", functools.partial(
+        _cmd_certificate, ideal_certificate, verify_ideal_certificate), _CERTIFICATE),
+    "assoc": ("check (z^a * z^b) * z^c == z^a * (z^b * z^c)", _cmd_assoc,
+              [(name, {"type": int}) for name in "abc"]),
+    "verify-cert": ("check a module certificate JSON file", functools.partial(
+        _cmd_verify_file, ModuleCertificate, verify_certificate), _FILE),
+    "verify-ideal-cert": ("check an ideal certificate JSON file", functools.partial(
+        _cmd_verify_file, IdealCertificate, verify_ideal_certificate), _FILE),
+    "props": ("run randomized property checks", _cmd_props,
+              [("--seed", {"type": int, "default": 0, "help": "seed of the random choices"}),
+               ("--trials", {"type": int, "default": 5})]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     # --json is accepted both before and after the subcommand; the SUPPRESS
     # default keeps the subparser from clobbering a root-level value
@@ -162,64 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", default=False,
                         help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expand", parents=[common],
-                       help="evaluate an expression and print it canonically")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser("wheel", parents=[common],
-                       help="test the wheel conditions for an expression")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_wheel)
-
-    p = sub.add_parser("corollary", parents=[common],
-                       help="test divisibility of the z2:=-z1 image")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_corollary)
-
-    p = sub.add_parser("lemma", parents=[common],
-                       help="verify a module-action relation by expansion")
-    p.add_argument("relation", choices=("a", "b"))
-    p.add_argument("word")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_lemma)
-
-    for name, help_text, build, verify in (
-        ("reduce2", "certificate over the arity-2 basis", reduce2, verify_certificate),
-        ("reduce3", "certificate over the arity-3 basis", reduce3, verify_certificate),
-        ("ideal-cert", "cofactors over the two-generator ideal", ideal_certificate,
-         verify_ideal_certificate),
-    ):
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("word")
-        p.add_argument("--verify", action="store_true")
-        p.set_defaults(func=functools.partial(_cmd_certificate, build=build, verify=verify))
-
-    p = sub.add_parser("assoc", parents=[common],
-                       help="check (z^a * z^b) * z^c == z^a * (z^b * z^c)")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    p.set_defaults(func=_cmd_assoc)
-
-    for name, help_text, certificate_class, verify in (
-        ("verify-cert", "check a module certificate JSON file", ModuleCertificate,
-         verify_certificate),
-        ("verify-ideal-cert", "check an ideal certificate JSON file", IdealCertificate,
-         verify_ideal_certificate),
-    ):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("file")
-        p.set_defaults(func=functools.partial(_cmd_verify_file, certificate_class=certificate_class,
-                                              verify=verify))
-
-    p = sub.add_parser("props", parents=[common],
-                       help="run randomized property checks")
-    p.add_argument("--seed", type=int, default=0, help="seed of the random choices")
-    p.add_argument("--trials", type=int, default=5)
-    p.set_defaults(func=_cmd_props)
-
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 

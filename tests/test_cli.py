@@ -1,13 +1,16 @@
 """CLI surface: canonical output, exit codes, JSON schema, determinism."""
 
+import argparse
 import hashlib
 import json
+import shlex
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from intshuffle.cli import main
+from intshuffle.cli import build_parser, main
 from intshuffle.conditions import IdealCertificate, ideal_certificate, verify_ideal_certificate
 from intshuffle.poly import LaurentPoly, render
 from intshuffle.shuffle import shuffle_word
@@ -276,7 +279,7 @@ def test_verify_ideal_cert_rejects_a_shifted_coefficient(shift, tmp_path, capsys
     assert (code, out) == (1, "false\n")
 
 
-def test_one_parser_keeps_no_state_between_calls(capsys):
+def test_one_parser_keeps_no_state_between_calls(tmp_path, capsys):
     for flags in (["--json", "expand", "1"], ["expand", "1", "--json"]):
         code, out, _ = run(capsys, *flags)
         assert code == 0 and json.loads(out)["poly"] == "1", flags
@@ -297,6 +300,113 @@ def test_one_parser_keeps_no_state_between_calls(capsys):
     assert (code, out) == (2, "") and err.startswith("usage:")
     assert run(capsys, "expand")[0] == 2
     assert run(capsys, "expand", "1") == (0, "1\n", "")
+    # --json before or after every command gives the same JSON, and leaves
+    # the plain text of the next call alone
+    module_cert, ideal_cert = tmp_path / "module.json", tmp_path / "ideal.json"
+    module_cert.write_text(run(capsys, "reduce3", "[0,0,1]", "--json")[1])
+    ideal_cert.write_text(run(capsys, "ideal-cert", "[1,0]", "--json")[1])
+    commands = [["expand", "1"], ["wheel", "sh[0,0,0]"], ["corollary", "sh[0,0]"],
+                ["lemma", "a", "[0,0]", "1"], ["reduce2", "[0,1]"], ["reduce3", "[0,0,1]"],
+                ["ideal-cert", "[1,0]"], ["assoc", "1", "0", "-1"],
+                ["verify-cert", str(module_cert)], ["verify-ideal-cert", str(ideal_cert)],
+                ["props", "--trials", "1"]]
+    assert [argv[0] for argv in commands] == [name for name, _, _ in SUBCOMMANDS]
+    for argv in commands:
+        plain = run(capsys, *argv)
+        assert plain[0] == 0 and not plain[1].startswith("{"), argv
+        before, after = run(capsys, "--json", *argv), run(capsys, *argv, "--json")
+        assert before == after and before[0] == 0, argv
+        assert json.loads(before[1])["schema"] == 1, argv
+        assert run(capsys, *argv) == plain, argv
+
+
+_HELP = ("help", ("-h", "--help"), "_HelpAction", None, None, argparse.SUPPRESS,
+         "show this help message and exit")
+_JSON = ("json", ("--json",), "_StoreTrueAction", None, None, argparse.SUPPRESS,
+         "emit JSON output")
+
+
+def _positional(dest, type=None, choices=None):
+    return (dest, (), "_StoreAction", type, choices, None, None)
+
+
+_EXPR = [_positional("expr")]
+_CERTIFICATE = [_positional("word"),
+                ("verify", ("--verify",), "_StoreTrueAction", None, None, False, None)]
+# each command's name, help and arguments after -h and --json, in the order of `--help`
+SUBCOMMANDS = [
+    ("expand", "evaluate an expression and print it canonically", _EXPR),
+    ("wheel", "test the wheel conditions for an expression", _EXPR),
+    ("corollary", "test divisibility of the z2:=-z1 image", _EXPR),
+    ("lemma", "verify a module-action relation by expansion",
+     [_positional("relation", choices=("a", "b")), _positional("word"), _positional("n", int)]),
+    ("reduce2", "certificate over the arity-2 basis", _CERTIFICATE),
+    ("reduce3", "certificate over the arity-3 basis", _CERTIFICATE),
+    ("ideal-cert", "cofactors over the two-generator ideal", _CERTIFICATE),
+    ("assoc", "check (z^a * z^b) * z^c == z^a * (z^b * z^c)",
+     [_positional("a", int), _positional("b", int), _positional("c", int)]),
+    ("verify-cert", "check a module certificate JSON file", [_positional("file")]),
+    ("verify-ideal-cert", "check an ideal certificate JSON file", [_positional("file")]),
+    ("props", "run randomized property checks",
+     [("seed", ("--seed",), "_StoreAction", int, None, 0, "seed of the random choices"),
+      ("trials", ("--trials",), "_StoreAction", int, None, 5, None)]),
+]
+
+
+def _declared(parser) -> list:
+    return [(a.dest, tuple(a.option_strings), type(a).__name__, a.type, a.choices, a.default,
+             a.help) for a in parser._actions]
+
+
+def test_parser_declarations_pinned():
+    # declarations, not formatted help, which argparse lays out differently
+    # across Python versions
+    parser = build_parser()
+    assert (parser.prog, parser.description) == (
+        "intshuffle", "Exact computations in the integral shuffle algebra.")
+    sub = parser._actions[-1]
+    assert _declared(parser)[:-1] == [
+        _HELP, ("json", ("--json",), "_StoreTrueAction", None, None, False, argparse.SUPPRESS)]
+    assert (type(sub).__name__, sub.dest, sub.required) == ("_SubParsersAction", "command", True)
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        (name, help_text) for name, help_text, _ in SUBCOMMANDS]
+    assert list(sub.choices) == [name for name, _, _ in SUBCOMMANDS]
+    for name, _, arguments in SUBCOMMANDS:
+        assert _declared(sub.choices[name]) == [_HELP, _JSON] + arguments, name
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    # every line of the README's CLI block exits 0; a file it names lives in tmp_path
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    verdicts = []
+    for line in lines:
+        for command in line.split("&&"):
+            words = shlex.split(command, comments=True)
+            assert words[0] == "intshuffle", line
+            argv = [str(tmp_path / w) if w.endswith(".json") else w for w in words[1:]]
+            target = None
+            if ">" in argv:
+                argv, target = argv[:argv.index(">")], argv[-1]
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), line
+            if target is not None:
+                Path(target).write_text(out)
+            if argv[0] == "verify-cert":
+                verdicts.append(out)
+    assert len(lines) == 11 and verdicts == ["true\n"]
+
+
+def test_an_expression_led_by_a_minus_follows_a_double_dash(capsys):
+    # argparse reads a space-free token led by "-" as an option unless it is
+    # a plain negative number, so canonical text such as -z1 is read back
+    # after "--"
+    assert run(capsys, "expand", "-z1")[0] == 2
+    code, out, err = run(capsys, "expand", "--json", "--", "-1/2")
+    assert (code, json.loads(out), err) == (0, {"schema": 1, "kind": "scalar", "poly": "-1/2"}, "")
+    assert run(capsys, "wheel", "--", "-z1") == (0, "true\n", "")
+    for text in ("-z1", "-q1", "-1/2"):
+        assert run(capsys, "expand", "--", text) == (0, text + "\n", ""), text
 
 
 def test_parse_error_exit_code(capsys):
